@@ -2,7 +2,7 @@
 
 Subcommands: gen-data, pack, train, eval, recognize (surveillance mode),
 classify (whole-video mode), summarize. Exit codes: 0 success, 1 internal
-error, 2 user/config error.
+error, 2 user error (a bad flag or config value, or a bad input file).
 """
 
 from __future__ import annotations
@@ -17,16 +17,18 @@ import numpy as np
 from . import motionseg, synth
 from .config import ConfigError, PipelineConfig, load_config
 from .kcf import KcfConfig
-from .network import (NetworkSpec, TrainConfig, build_network, evaluate,
-                      load_checkpoint, predict, save_checkpoint, train)
+from .network import (CheckpointError, NetworkSpec, SpecError, TrainConfig,
+                      build_network, evaluate, load_checkpoint, predict,
+                      save_checkpoint, train)
 from .sequences import compute_mhi, extract_person_sequence, subsample_time
 from .summarize import (Subject, Summary, build_person_timeline,
                         build_shot_timeline, export, smooth_predictions,
                         summary_from_json)
 from .tracking import MultiTracker, dump_tracks
-from .videoio import (SPLIT_PRESETS, Clip, ClipArchive, load_frame_dir,
-                      pack_clip_archive, read_clip_archive, resize_clip,
-                      segment_into_clips, split_dataset, write_pnm)
+from .videoio import (SPLIT_PRESETS, Clip, ClipArchive, FormatError,
+                      load_frame_dir, pack_clip_archive, read_clip_archive,
+                      resize_clip, segment_into_clips, split_dataset,
+                      write_pnm)
 
 
 class UserError(Exception):
@@ -96,13 +98,18 @@ def shot_boundaries(video: Clip, threshold: float) -> list[int]:
     return out
 
 
-def _load_checkpoint_or_die(cfg: PipelineConfig):
+def _load_model(cfg: PipelineConfig, labels_path: str | None = None):
+    """The checkpoint's network, its input variant (mhi for a 2D network) and
+    the label names of the archive at labels_path, else class0, class1, ..."""
     if not cfg.checkpoint:
         raise UserError("no checkpoint configured (set checkpoint=...)")
     if not Path(cfg.checkpoint).exists():
         raise UserError(f"checkpoint not found: {cfg.checkpoint}")
     network, _, _, _ = load_checkpoint(cfg.checkpoint)
-    return network
+    variant = "mhi" if network.spec.mode == "2d" else cfg.input_variant
+    labels = (read_clip_archive(labels_path).label_names if labels_path
+              else [f"class{i}" for i in range(network.spec.num_classes)])
+    return network, variant, labels
 
 
 # -- subcommands -------------------------------------------------------------
@@ -196,9 +203,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
-    network = _load_checkpoint_or_die(cfg)
+    network, variant, _ = _load_model(cfg)
     archive = read_clip_archive(args.data)
-    variant = "mhi" if network.spec.mode == "2d" else cfg.input_variant
     x, y = archive_to_arrays(archive, cfg, variant)
     if args.test_split_only:
         _, _, te = _split_archive(archive, cfg)
@@ -221,18 +227,14 @@ def _predict_windows(network, windows, cfg: PipelineConfig, variant: str):
 
 
 def cmd_recognize(cfg: PipelineConfig, args) -> int:
-    network = _load_checkpoint_or_die(cfg)
-    variant = "mhi" if network.spec.mode == "2d" else cfg.input_variant
+    network, variant, labels = _load_model(cfg, args.labels)
     video = load_frame_dir(args.input, fps=cfg.fps)
-    labels = read_clip_archive(args.labels).label_names if args.labels \
-        else [f"class{i}" for i in range(network.spec.num_classes)]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    gray = np.stack([motionseg.to_gray(f) for f in video.frames])
-    model = motionseg.BackgroundModel(*gray.shape[1:], alpha=cfg.bg_alpha,
+    model = motionseg.BackgroundModel(*video.frames.shape[2:],
+                                      alpha=cfg.bg_alpha,
                                       threshold=cfg.bg_threshold)
-    model.seed(gray[0])
     tracker = MultiTracker(iou_threshold=cfg.iou_threshold,
                            max_miss=cfg.max_miss, min_area=cfg.min_area,
                            kcf_config=KcfConfig(patch_size=cfg.kcf_patch,
@@ -244,16 +246,19 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
     if debug_dir:
         debug_dir.mkdir(parents=True, exist_ok=True)
     for t in range(video.num_frames):
+        gray = motionseg.to_gray(video.frames[t])
+        if t == 0:
+            model.seed(gray)
         detections, mask = motionseg.detect_people(
-            model, gray[t], min_area=cfg.min_area,
+            model, gray, min_area=cfg.min_area,
             morph_radius=cfg.morph_radius, frame_index=t)
         masks[t] = mask
         if debug_dir:
             write_pnm(debug_dir / f"mask_{t:06d}.pgm",
                       (mask * 255).astype(np.uint8))
         if t >= cfg.warmup_frames:
-            tracker.step(video.frames[t], detections, t)
-        model.update_masked(gray[t], mask)
+            tracker.step(gray, detections, t)
+        model.update_masked(gray, mask)
 
     tracks = tracker.all_tracks()
     dump_tracks(tracks, out / "tracks.jsonl")
@@ -265,8 +270,7 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
         if seq is None:
             print(f"track {track.id}: too short, skipped")
             continue
-        source = seq.bs if variant == "bs" else seq.rgb if variant == "rgb" \
-            else seq.bs
+        source = seq.rgb if variant == "rgb" else seq.bs
         windows = segment_into_clips(source, cfg.clip_seconds,
                                      cfg.stride_seconds)
         if not windows:
@@ -286,11 +290,8 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    network = _load_checkpoint_or_die(cfg)
-    variant = "mhi" if network.spec.mode == "2d" else cfg.input_variant
+    network, variant, labels = _load_model(cfg, args.labels)
     video = load_frame_dir(args.input, fps=cfg.fps)
-    labels = read_clip_archive(args.labels).label_names if args.labels \
-        else [f"class{i}" for i in range(network.spec.num_classes)]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = Summary(video_id=str(args.input), fps=video.fps, labels=labels)
@@ -398,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return args.func(cfg, args)
-    except (ConfigError, UserError, FileNotFoundError) as e:
+    except (ConfigError, UserError, FileNotFoundError, FormatError,
+            CheckpointError, SpecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -16,7 +16,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    mode: str = "surveillance"        # surveillance | classify
     seed: int = 0
     fps: float = 25.0
     out_dir: str = "out"
@@ -97,6 +96,9 @@ def load_config(path: str | Path | None = None,
     for key, value, where in pairs:
         if key not in _FIELDS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        if key == "input_variant" and value not in ("rgb", "bs", "mhi"):
+            raise ConfigError(f"{where}: input_variant must be rgb, bs or "
+                              f"mhi, got {value!r}")
         try:
             setattr(cfg, key, _coerce(key, str(value)))
         except ValueError as e:

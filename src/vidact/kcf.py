@@ -8,12 +8,11 @@ Gaussian kernel; detection is the argmax of the correlation response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .motionseg import to_gray
-from .videoio import resize_bilinear
 
 
 @dataclass
@@ -38,7 +37,6 @@ class KcfState:
     alpha_hat: np.ndarray        # dual solution, frequency domain, p x p
     box: tuple[float, float, float, float]
     config: KcfConfig
-    label_hat: np.ndarray = field(repr=False, default=None)
 
 
 def hann2d(size: int) -> np.ndarray:
@@ -82,7 +80,7 @@ def gaussian_label(size: int, sigma: float) -> np.ndarray:
     return np.outer(g, g)
 
 
-def _train(patch: np.ndarray, config: KcfConfig) -> tuple[np.ndarray, np.ndarray]:
+def _train(patch: np.ndarray, config: KcfConfig) -> np.ndarray:
     p = config.patch_size
     label = gaussian_label(p, config.output_sigma_factor * p)
     # Shift the label so the peak sits at index (0, 0): detection displacement
@@ -90,22 +88,19 @@ def _train(patch: np.ndarray, config: KcfConfig) -> tuple[np.ndarray, np.ndarray
     label = np.roll(label, (-(p // 2), -(p // 2)), axis=(0, 1))
     label_hat = np.fft.fft2(label)
     k_hat = np.fft.fft2(gaussian_correlation(patch, patch, config.sigma))
-    alpha_hat = label_hat / (k_hat + config.lambda_)
-    return alpha_hat, label_hat
+    return label_hat / (k_hat + config.lambda_)
 
 
 def kcf_init(frame: np.ndarray, box, config: KcfConfig | None = None) -> KcfState:
-    """Train a fresh filter on the given box."""
+    """Train a fresh filter on a box of an (H, W) or (C, H, W) frame."""
     config = config or KcfConfig()
     x, y, w, h = box
     if w < 4 or h < 4:
         raise ValueError(f"degenerate box {box}: sides must be >= 4 px")
     gray = to_gray(frame)
     patch = extract_patch(gray, box, config)
-    alpha_hat, label_hat = _train(patch, config)
-    return KcfState(template=patch, alpha_hat=alpha_hat,
-                    box=tuple(float(v) for v in box), config=config,
-                    label_hat=label_hat)
+    return KcfState(template=patch, alpha_hat=_train(patch, config),
+                    box=tuple(float(v) for v in box), config=config)
 
 
 def kcf_response(state: KcfState, patch: np.ndarray) -> np.ndarray:
@@ -157,7 +152,7 @@ def kcf_update(state: KcfState, frame: np.ndarray):
     state.box = (x, y, w, h)
     if not lost:
         patch = extract_patch(gray, state.box, state.config)
-        alpha_hat, _ = _train(patch, state.config)
+        alpha_hat = _train(patch, state.config)
         r = state.config.interp
         state.template = (1 - r) * state.template + r * patch
         state.alpha_hat = (1 - r) * state.alpha_hat + r * alpha_hat

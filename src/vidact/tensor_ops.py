@@ -61,9 +61,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def accumulate(self, g: np.ndarray):
         if g.shape != self.data.shape:
             raise DimensionError(f"grad shape {g.shape} != data shape {self.data.shape}")

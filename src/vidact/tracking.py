@@ -1,5 +1,5 @@
-"""Multi-target tracking: greedy IoU association between per-frame detections
-and KCF-predicted track boxes, with a miss-count lifecycle.
+"""Multi-target tracking: greedy IoU matching of detections to each track's
+last recorded box, KCF coasting of unmatched tracks, miss-count lifecycle.
 """
 
 from __future__ import annotations
@@ -86,13 +86,9 @@ class MultiTracker:
 
     def step(self, frame: np.ndarray, detections: list[Detection],
              frame_index: int) -> list[Track]:
-        """Advance one frame: KCF-predict, associate, spawn, retire."""
-        for t in self.tracks:
-            if t.kcf is not None:
-                box, peak, lost = kcf_update(t.kcf, frame)
-                if lost:
-                    t.misses = self.max_miss + 1
-
+        """Advance one frame. Detections match each track's last recorded
+        box; a matched track re-anchors KCF on its detection, and only
+        unmatched tracks run KCF, to coast. Then spawn and retire tracks."""
         matches, unmatched_t, unmatched_d = associate(
             self.tracks, detections, self.iou_threshold)
 
@@ -110,7 +106,11 @@ class MultiTracker:
             t = self.tracks[ti]
             t.misses += 1
             if t.misses <= self.max_miss and t.kcf is not None:
-                t.record(frame_index, t.kcf.box)
+                box, _, lost = kcf_update(t.kcf, frame)
+                if lost:
+                    t.misses = self.max_miss + 1
+                else:
+                    t.record(frame_index, box)
         for di in unmatched_d:
             det = detections[di]
             if det.area < self.min_area:

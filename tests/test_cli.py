@@ -186,6 +186,36 @@ class TestTrainEval:
                           "eval", str(dataset_dir / "mhi.a3dc")])
         assert rc == 2
 
+    def test_eval_truncated_archive(self, dataset_dir, mhi_checkpoint,
+                                    tmp_path, capsys):
+        data = (dataset_dir / "mhi.a3dc").read_bytes()
+        bad = tmp_path / "cut.a3dc"
+        bad.write_bytes(data[: len(data) // 2])
+        rc = main(TINY + ["--out-dir", str(tmp_path),
+                          "--checkpoint", str(mhi_checkpoint),
+                          "eval", str(bad)])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_eval_truncated_checkpoint(self, dataset_dir, mhi_checkpoint,
+                                       tmp_path, capsys):
+        data = mhi_checkpoint.read_bytes()
+        bad = tmp_path / "cut.a3dw"
+        bad.write_bytes(data[: len(data) // 2])
+        rc = main(TINY + ["--out-dir", str(tmp_path), "--checkpoint", str(bad),
+                          "eval", str(dataset_dir / "mhi.a3dc")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_unknown_input_variant_trains_nothing(self, dataset_dir, tmp_path,
+                                                  capsys):
+        rc = main(TINY + ["--out-dir", str(tmp_path),
+                          "--set", "input_variant=foo",
+                          "train", str(dataset_dir / "rgb.a3dc")])
+        assert rc == 2
+        assert "input_variant" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_corrupt_archive_fails_nonzero(self, tmp_path):
         bad = tmp_path / "bad.a3dc"
         bad.write_bytes(b"garbage data, not an archive")

@@ -213,6 +213,38 @@ class TestTrackLifecycle:
         assert not tracker.tracks
         assert tracker.closed[0].status == "closed"
 
+    def test_kcf_runs_only_for_unmatched_tracks(self, rng, monkeypatch):
+        calls = []
+
+        def counting(state, frame):
+            calls.append(state)
+            return kcf_update(state, frame)
+
+        monkeypatch.setattr("vidact.tracking.kcf_update", counting)
+        frame = rng.random((64, 64))
+        tracker = MultiTracker(max_miss=2, min_area=1)
+        d = Detection(box=(10, 10, 12, 12), area=144)
+        tracker.step(frame, [d], 0)          # spawns the track
+        tracker.step(frame, [d], 1)          # matched: re-anchored, no KCF
+        assert calls == []
+        tracker.step(frame, [], 2)           # unmatched: coasts on KCF
+        assert len(calls) == 1
+        assert tracker.tracks[0].states[-1][0] == 2
+
+    def test_degenerate_match_keeps_previous_filter(self, rng):
+        frame = rng.random((64, 64))
+        tracker = MultiTracker(iou_threshold=0.2, min_area=1)
+        tracker.step(frame, [Detection(box=(10, 10, 12, 12), area=144)], 0)
+        kcf = tracker.tracks[0].kcf
+        box, template = kcf.box, kcf.template.copy()
+        # A side under 4 px cannot re-anchor the filter; the moved frame would
+        # have moved it, had KCF run for this matched track.
+        tracker.step(np.roll(frame, 3, axis=1),
+                     [Detection(box=(10, 10, 12, 3), area=36)], 1)
+        assert tracker.tracks[0].kcf is kcf and kcf.box == box
+        np.testing.assert_array_equal(kcf.template, template)
+        assert tracker.tracks[0].box == (10.0, 10.0, 12.0, 3.0)
+
     def test_dump_tracks_jsonl(self, tmp_path):
         t = make_track(3, (1, 2, 3, 4), frame=0)
         t.record(1, (2, 2, 3, 4))
