@@ -20,15 +20,15 @@ from .kcf import KcfConfig
 from .network import (CheckpointError, NetworkSpec, SpecError, TrainConfig,
                       build_network, evaluate, load_checkpoint, predict,
                       save_checkpoint, train)
-from .sequences import compute_mhi, extract_person_sequence, subsample_time
+from .sequences import compute_mhi, person_crop, subsample_time
 from .summarize import (Subject, Summary, build_person_timeline,
                         build_shot_timeline, export, smooth_predictions,
                         summary_from_json)
 from .tracking import MultiTracker, dump_tracks
 from .videoio import (SPLIT_PRESETS, Clip, ClipArchive, FormatError,
-                      load_frame_dir, pack_clip_archive, read_clip_archive,
-                      resize_clip, segment_into_clips, split_dataset,
-                      write_pnm)
+                      StratificationError, load_frame_dir, pack_clip_archive,
+                      read_clip_archive, resize_clip, segment_into_clips,
+                      split_dataset, write_pnm)
 
 
 class UserError(Exception):
@@ -63,6 +63,14 @@ def clip_to_input(clip: Clip, cfg: PipelineConfig, variant: str) -> np.ndarray:
         return mhi.values[None].astype(np.float32)
     clip = subsample_time(clip, cfg.input_frames)
     return np.transpose(clip.frames, (1, 0, 2, 3)).astype(np.float32)
+
+
+def _read_archive(path: str) -> ClipArchive:
+    """The clip archive at path; one without clips is a user error."""
+    archive = read_clip_archive(path)
+    if not archive.clips:
+        raise UserError(f"{path}: archive holds no clips")
+    return archive
 
 
 def archive_to_arrays(archive: ClipArchive, cfg: PipelineConfig,
@@ -166,7 +174,7 @@ def _split_archive(archive: ClipArchive, cfg: PipelineConfig):
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    archive = read_clip_archive(args.data)
+    archive = _read_archive(args.data)
     if cfg.num_classes < len(archive.label_names):
         raise UserError(f"archive has {len(archive.label_names)} labels but "
                         f"num_classes={cfg.num_classes}")
@@ -204,7 +212,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     network, variant, _ = _load_model(cfg)
-    archive = read_clip_archive(args.data)
+    archive = _read_archive(args.data)
     x, y = archive_to_arrays(archive, cfg, variant)
     if args.test_split_only:
         _, _, te = _split_archive(archive, cfg)
@@ -241,23 +249,29 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
                                                 sigma=cfg.kcf_sigma,
                                                 lambda_=cfg.kcf_lambda,
                                                 interp=cfg.kcf_interp))
-    masks: dict[int, np.ndarray] = {}
+    # Track id -> its person crops, one per recorded state; only the crop
+    # the variant reads is cut.
+    crops: dict[int, list[np.ndarray]] = {}
     debug_dir = Path(cfg.debug_dir) if cfg.debug_dir else None
     if debug_dir:
         debug_dir.mkdir(parents=True, exist_ok=True)
     for t in range(video.num_frames):
-        gray = motionseg.to_gray(video.frames[t])
+        frame = video.frames[t]
+        gray = motionseg.to_gray(frame)
         if t == 0:
             model.seed(gray)
         detections, mask = motionseg.detect_people(
             model, gray, min_area=cfg.min_area,
             morph_radius=cfg.morph_radius, frame_index=t)
-        masks[t] = mask
         if debug_dir:
             write_pnm(debug_dir / f"mask_{t:06d}.pgm",
                       (mask * 255).astype(np.uint8))
         if t >= cfg.warmup_frames:
-            tracker.step(gray, detections, t)
+            for track in tracker.step(gray, detections, t):
+                if track.states[-1][0] == t:
+                    crops.setdefault(track.id, []).append(person_crop(
+                        frame, track.box, cfg.input_size,
+                        None if variant == "rgb" else mask))
         model.update_masked(gray, mask)
 
     tracks = tracker.all_tracks()
@@ -265,20 +279,19 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
     summary = Summary(video_id=str(args.input), fps=video.fps, labels=labels)
     win = max(2, round(video.fps * cfg.clip_seconds))
     for track in tracks:
-        seq = extract_person_sequence(video, track, masks,
-                                      out_size=cfg.input_size)
-        if seq is None:
+        if len(track.states) < 2:
             print(f"track {track.id}: too short, skipped")
             continue
-        source = seq.rgb if variant == "rgb" else seq.bs
+        source = Clip(np.stack(crops[track.id]), fps=video.fps,
+                      start_frame=track.states[0][0])
+        end = track.states[-1][0] + 1
         windows = segment_into_clips(source, cfg.clip_seconds,
                                      cfg.stride_seconds)
         if not windows:
             windows = [source]   # short track: one window, padded later
         preds, confs = _predict_windows(network, windows, cfg, variant)
         preds = smooth_predictions(preds, cfg.smooth_window)
-        spans = [(w.start_frame, min(w.start_frame + win,
-                                     seq.frame_span[1] + 1))
+        spans = [(w.start_frame, min(w.start_frame + win, end))
                  for w in windows]
         events = build_person_timeline(preds, confs, spans, labels)
         summary.subjects.append(Subject(id=track.id, kind="person",
@@ -400,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         return args.func(cfg, args)
     except (ConfigError, UserError, FileNotFoundError, FormatError,
-            CheckpointError, SpecError) as e:
+            CheckpointError, SpecError, StratificationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

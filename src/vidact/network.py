@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +472,12 @@ def load_checkpoint(path: str | Path,
         pos += 4
         meta = json.loads(data[pos : pos + meta_len].decode())
         pos += meta_len
+        keys = set(meta["spec"])
+        want = {f.name for f in fields(NetworkSpec)}
+        if keys != want:
+            raise CheckpointError(
+                f"{path}: spec keys unknown {sorted(keys - want)}, "
+                f"missing {sorted(want - keys)}")
         spec = NetworkSpec(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in meta["spec"].items()})
         if spec.spec_hash() != spec_hash:
@@ -518,6 +524,7 @@ def load_checkpoint(path: str | Path,
             state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
             state.m = [read_array() for _ in range(n_params)]
             state.v = [read_array() for _ in range(n_params)]
-    except (struct.error, IndexError, json.JSONDecodeError) as e:
+    except (struct.error, IndexError, json.JSONDecodeError,
+            UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint") from e
     return network, state, meta["epoch"], meta["history"]

@@ -1,5 +1,6 @@
-"""Turn tracks into network inputs: per-person RGB clips, background-zeroed
-(BS) clips, and motion history images.
+"""Turn tracked people into network inputs: one person crop per frame (the
+track box cut from the RGB frame, optionally multiplied by the foreground
+mask, resized to a square), and motion history images of clips.
 """
 
 from __future__ import annotations
@@ -9,16 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motionseg import to_gray
-from .tracking import Track
 from .videoio import Clip, resize_bilinear
-
-
-@dataclass
-class PersonSequence:
-    track_id: int
-    rgb: Clip            # T x C x S x S
-    bs: Clip             # same shape, background zeroed by the person mask
-    frame_span: tuple[int, int]
 
 
 @dataclass
@@ -43,35 +35,15 @@ def crop_box(frame: np.ndarray, box) -> np.ndarray:
     return out
 
 
-def extract_person_sequence(video: Clip, track: Track,
-                            masks: dict[int, np.ndarray] | None = None,
-                            out_size: int = 64,
-                            min_clip_frames: int = 2) -> PersonSequence | None:
-    """Per-frame crop of the track box, resized to out_size; bs = rgb * mask.
-
-    masks maps frame index -> binary H x W foreground mask; frames without a
-    mask get an all-zero bs crop. Returns None (skipped) for short tracks.
-    """
-    if len(track.states) < min_clip_frames:
-        return None
-    rgb_frames, bs_frames = [], []
-    for frame_index, box in track.states:
-        frame = video.frames[frame_index]
-        crop = crop_box(frame, box)
-        rgb_frames.append(resize_bilinear(crop, out_size, out_size))
-        if masks is not None and frame_index in masks:
-            mask_crop = crop_box(masks[frame_index][None].astype(frame.dtype), box)
-            masked = crop * mask_crop
-        else:
-            masked = np.zeros_like(crop)
-        bs_frames.append(resize_bilinear(masked, out_size, out_size))
-    span = (track.states[0][0], track.states[-1][0])
-    rgb = Clip(np.stack(rgb_frames), fps=video.fps,
-               source_id=f"{video.source_id}/track{track.id}",
-               start_frame=span[0])
-    bs = Clip(np.stack(bs_frames), fps=video.fps,
-              source_id=rgb.source_id, start_frame=span[0])
-    return PersonSequence(track_id=track.id, rgb=rgb, bs=bs, frame_span=span)
+def person_crop(frame: np.ndarray, box, out_size: int,
+                mask: np.ndarray | None = None) -> np.ndarray:
+    """The (C, H, W) frame cut at an (x, y, w, h) box, zero-padded outside
+    the frame, times the box's cut of the binary H x W mask when one is
+    given, resized to (C, out_size, out_size)."""
+    crop = crop_box(frame, box)
+    if mask is not None:
+        crop = crop * crop_box(mask[None].astype(frame.dtype), box)
+    return resize_bilinear(crop, out_size, out_size)
 
 
 def compute_mhi(bs: Clip, tau: int = 16, threshold: float = 0.05) -> MhiImage:

@@ -31,7 +31,6 @@ __all__ = [
     "linear_backward",
     "softmax_cross_entropy",
     "adam_step",
-    "grad_check",
 ]
 
 
@@ -434,29 +433,3 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
         vhat = v / (1 - b2**t)
         p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
 
-
-def grad_check(forward, backward, inputs: list[np.ndarray], h: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    forward(*inputs) -> scalar-reducible array (summed to a scalar loss);
-    backward(*inputs, upstream) -> tuple of gradients, one per input.
-    All arithmetic done in float64.
-    """
-    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    y = forward(*inputs)
-    analytic = backward(*inputs, np.ones_like(y))
-    worst = 0.0
-    for xi, gi in zip(inputs, analytic):
-        flat = xi.reshape(-1)
-        gflat = np.asarray(gi).reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            fp = float(np.sum(forward(*inputs)))
-            flat[j] = orig - h
-            fm = float(np.sum(forward(*inputs)))
-            flat[j] = orig
-            num = (fp - fm) / (2 * h)
-            err = abs(gflat[j] - num) / max(1.0, abs(gflat[j]))
-            worst = max(worst, err)
-    return worst

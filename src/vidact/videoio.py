@@ -119,14 +119,18 @@ def load_frame_dir(path: str | Path, fps: float = 25.0) -> Clip:
     names = sorted(p for p in path.iterdir() if p.suffix in (".pgm", ".ppm"))
     if not names:
         raise FormatError(f"{path}: no PGM/PPM frames found")
-    frames = [read_pnm(p) for p in names]
-    shape = frames[0].shape
-    for p, f in zip(names, frames):
+    first = read_pnm(names[0])
+    shape = first.shape
+    stack = np.empty((len(names),) + shape, dtype=np.float32)
+    stack[0] = first
+    for i, p in enumerate(names[1:], start=1):
+        f = read_pnm(p)
         if f.shape != shape:
             raise FormatError(
                 f"{p}: frame shape {f.shape} differs from first frame {shape}"
             )
-    stack = np.stack(frames).astype(np.float32) / 255.0
+        stack[i] = f
+    stack /= 255.0
     return Clip(stack, fps=fps, source_id=str(path))
 
 
@@ -279,18 +283,25 @@ def read_clip_archive(path: str | Path) -> ClipArchive:
     data = Path(path).read_bytes()
     if data[:4] != ARCHIVE_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    version, count = struct.unpack_from("<HI", data, 4)
-    if version != ARCHIVE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    pos = 10
-    (n_labels,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    names = []
-    for _ in range(n_labels):
-        (ln,) = struct.unpack_from("<H", data, pos)
+    try:
+        version, count = struct.unpack_from("<HI", data, 4)
+        if version != ARCHIVE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        pos = 10
+        (n_labels,) = struct.unpack_from("<H", data, pos)
         pos += 2
-        names.append(data[pos : pos + ln].decode("utf-8"))
-        pos += ln
+        names = []
+        for i in range(n_labels):
+            (ln,) = struct.unpack_from("<H", data, pos)
+            pos += 2
+            if pos + ln > len(data):
+                raise CorruptionError(f"{path}: truncated label name {i}")
+            names.append(data[pos : pos + ln].decode("utf-8"))
+            pos += ln
+    except struct.error as e:
+        raise CorruptionError(f"{path}: truncated archive header") from e
+    except UnicodeDecodeError as e:
+        raise CorruptionError(f"{path}: label name {i} is not UTF-8") from e
     archive = ClipArchive(label_names=names)
     rec_header = struct.Struct("<HIIIId")
     for i in range(count):

@@ -72,3 +72,21 @@ def max_rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def grad_check(forward, backward, inputs, h=1e-4):
+    """Max relative error between analytic and central-difference gradients.
+
+    forward(*inputs) -> array, summed to a scalar loss;
+    backward(*inputs, upstream) -> tuple of gradients, one per input.
+    All arithmetic done in float64.
+    """
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    analytic = backward(*inputs, np.ones_like(forward(*inputs)))
+    worst = 0.0
+    for i, g in enumerate(analytic):
+        def loss(xi, i=i):
+            return float(np.sum(forward(*inputs[:i], xi, *inputs[i + 1:])))
+        worst = max(worst, max_rel_err(g, central_difference(loss, inputs[i],
+                                                             h)))
+    return worst

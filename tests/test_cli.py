@@ -1,18 +1,23 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from vidact import cli
 from vidact.cli import main, shot_boundaries
 from vidact.config import ConfigError, PipelineConfig, load_config
+from vidact.sequences import person_crop
 from vidact.synth import SceneSpec, SpriteSpec, generate_scene, \
     generate_shot_video
-from vidact.videoio import Clip, read_clip_archive, write_pnm
+from vidact.videoio import (Clip, ClipArchive, pack_clip_archive,
+                            read_clip_archive, write_pnm)
 
 TINY = ["--set", "input_size=32", "--set", "enc_channels=2,2",
         "--set", "head_channels=2,2,2", "--set", "fc_width=8",
         "--set", "num_classes=6", "--set", "epochs=2",
         "--set", "batch=16", "--set", "input_variant=mhi"]
+RGB = ["--set", "input_variant=rgb", "--set", "input_frames=8"]
 
 
 def write_frames(clip: Clip, out_dir, color=True):
@@ -101,6 +106,33 @@ def mhi_checkpoint(dataset_dir, tmp_path_factory):
     ckpt = out / "mhi.a3dw"
     assert ckpt.exists()
     return ckpt
+
+
+@pytest.fixture(scope="session")
+def rgb_checkpoint(dataset_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("train_rgb")
+    rc = main(TINY + RGB + ["--out-dir", str(out),
+                            "train", str(dataset_dir / "rgb.a3dc")])
+    assert rc == 0
+    return out / "rgb.a3dw"
+
+
+def rewrite_metadata(ckpt, out, edit):
+    """Copy a checkpoint with its JSON metadata bytes replaced by edit()."""
+    data = ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", data, 14)
+    meta = edit(data[18 : 18 + n])
+    out.write_bytes(data[:14] + struct.pack("<I", len(meta)) + meta
+                    + data[18 + n :])
+    return out
+
+
+def edit_spec(change):
+    def edit(raw):
+        meta = json.loads(raw)
+        change(meta["spec"])
+        return json.dumps(meta).encode()
+    return edit
 
 
 class TestGenData:
@@ -216,6 +248,51 @@ class TestTrainEval:
         assert "input_variant" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_eval_archive_cut_inside_header(self, dataset_dir, mhi_checkpoint,
+                                           tmp_path, capsys):
+        bad = tmp_path / "head.a3dc"
+        bad.write_bytes((dataset_dir / "mhi.a3dc").read_bytes()[:8])
+        rc = main(TINY + ["--out-dir", str(tmp_path),
+                          "--checkpoint", str(mhi_checkpoint),
+                          "eval", str(bad)])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        edit_spec(lambda spec: spec.update(foo=1)),
+        edit_spec(lambda spec: spec.pop("use_skips")),
+        lambda raw: b"\xff" + raw[1:],
+    ], ids=["unknown_spec_key", "missing_spec_key", "not_utf8"])
+    def test_eval_bad_checkpoint_metadata(self, dataset_dir, mhi_checkpoint,
+                                          tmp_path, capsys, edit):
+        bad = rewrite_metadata(mhi_checkpoint, tmp_path / "meta.a3dw", edit)
+        rc = main(TINY + ["--out-dir", str(tmp_path), "--checkpoint", str(bad),
+                          "eval", str(dataset_dir / "mhi.a3dc")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_train_too_few_clips_per_class(self, tmp_path, capsys):
+        names = [f"c{i}" for i in range(10)]
+        clips = [Clip(np.zeros((1, 1, 32, 32), dtype=np.float32))
+                 for _ in names]
+        data = tmp_path / "tiny.a3dc"
+        pack_clip_archive(ClipArchive(names, clips, list(range(10))), data)
+        rc = main(TINY + ["--out-dir", str(tmp_path / "out"),
+                          "--set", "num_classes=10", "train", str(data)])
+        assert rc == 2
+        assert "too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_archive_without_clips(self, mhi_checkpoint, tmp_path, capsys,
+                                   command):
+        data = tmp_path / "empty.a3dc"
+        pack_clip_archive(ClipArchive(label_names=["a"]), data)
+        rc = main(TINY + ["--out-dir", str(tmp_path / "out"),
+                          "--checkpoint", str(mhi_checkpoint),
+                          command, str(data)])
+        assert rc == 2
+        assert str(data) in capsys.readouterr().err
+
     def test_corrupt_archive_fails_nonzero(self, tmp_path):
         bad = tmp_path / "bad.a3dc"
         bad.write_bytes(b"garbage data, not an archive")
@@ -316,6 +393,57 @@ class TestRecognize:
         assert rc == 0
         masks = sorted((tmp_path / "dbg").glob("mask_*.pgm"))
         assert len(masks) == video.num_frames
+
+    @pytest.mark.parametrize("variant", ["rgb", "mhi"])
+    def test_one_crop_per_recorded_state(self, request, tmp_path, monkeypatch,
+                                         variant):
+        ckpt = request.getfixturevalue(f"{variant}_checkpoint")
+        masked = []
+
+        def spy(frame, box, out_size, mask=None):
+            masked.append(mask is not None)
+            return person_crop(frame, box, out_size, mask)
+
+        monkeypatch.setattr(cli, "person_crop", spy)
+        scene = SceneSpec(width=128, height=96, duration=2.0,
+                          sprites=[SpriteSpec(pattern="translate", size=16,
+                                              speed=2.0, start=(-40.0, 48.0))])
+        video, _ = generate_scene(scene)
+        frames_dir = tmp_path / "frames"
+        write_frames(video, frames_dir)
+        out = tmp_path / "out"
+        rc = main(TINY + (RGB if variant == "rgb" else [])
+                  + ["--out-dir", str(out), "--checkpoint", str(ckpt),
+                     "--set", "warmup_frames=10",
+                     "--set", "clip_seconds=0.32",
+                     "--set", "stride_seconds=0.32",
+                     "recognize", str(frames_dir)])
+        assert rc == 0
+        states = (out / "tracks.jsonl").read_text().splitlines()
+        assert len(masked) == len(states) > 0
+        # rgb crops are unmasked; the mhi input is built from masked crops
+        assert set(masked) == {variant == "mhi"}
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["subjects"] and doc["subjects"][0]["events"]
+
+    def test_track_seen_in_one_frame_skipped(self, mhi_checkpoint, tmp_path,
+                                             capsys):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for t in range(6):
+            img = np.zeros((3, 32, 32), dtype=np.uint8)
+            if t == 5:
+                img[:, 10:22, 10:22] = 255
+            write_pnm(frames_dir / f"{t:03d}.ppm", img)
+        out = tmp_path / "out"
+        rc = main(TINY + ["--out-dir", str(out),
+                          "--checkpoint", str(mhi_checkpoint),
+                          "--set", "warmup_frames=0",
+                          "recognize", str(frames_dir)])
+        assert rc == 0
+        assert "track 1: too short, skipped" in capsys.readouterr().out
+        assert len((out / "tracks.jsonl").read_text().splitlines()) == 1
+        assert json.loads((out / "summary.json").read_text())["subjects"] == []
 
 
 class TestSummarize:

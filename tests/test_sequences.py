@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 
 from vidact.sequences import (InsufficientFramesError, compute_mhi, crop_box,
-                              extract_person_sequence, subsample_time)
-from vidact.tracking import Track
+                              person_crop, subsample_time)
 from vidact.videoio import Clip
 
 
 def make_clip(frames, c=3, h=32, w=32, fps=25.0, seed=0):
     rng = np.random.default_rng(seed)
     return Clip(rng.random((frames, c, h, w)).astype(np.float32), fps=fps)
-
-
-def make_track(boxes, start=0):
-    t = Track(id=1)
-    for i, box in enumerate(boxes):
-        t.record(start + i, box)
-    return t
 
 
 class TestCrop:
@@ -32,46 +24,34 @@ class TestCrop:
         np.testing.assert_array_equal(crop[:, :, 4:], frame[:, 0:8, 0:4])
 
 
-class TestExtractPersonSequence:
-    def test_output_shapes(self):
-        video = make_clip(10)
-        track = make_track([(2, 2, 10, 10)] * 10)
-        seq = extract_person_sequence(video, track, masks=None, out_size=64)
-        assert seq.rgb.frames.shape == (10, 3, 64, 64)
-        assert seq.bs.frames.shape == (10, 3, 64, 64)
-        assert seq.frame_span == (0, 9)
+class TestPersonCrop:
+    def test_output_shape(self, rng):
+        frame = rng.random((3, 32, 32)).astype(np.float32)
+        crop = person_crop(frame, (2, 2, 10, 10), 64)
+        assert crop.shape == (3, 64, 64)
+        assert crop.dtype == np.float32
 
-    def test_bs_is_masked_rgb(self):
-        video = make_clip(4)
-        masks = {}
-        for t in range(4):
-            m = np.zeros((32, 32), dtype=bool)
-            m[4:12, 4:12] = True
-            masks[t] = m
-        track = make_track([(4, 4, 8, 8)] * 4)
-        seq = extract_person_sequence(video, track, masks, out_size=8)
-        # whole box is inside the mask -> bs == rgb
-        np.testing.assert_allclose(seq.bs.frames, seq.rgb.frames, atol=1e-6)
+    def test_covering_mask_gives_unmasked_crop(self, rng):
+        frame = rng.random((3, 32, 32)).astype(np.float32)
+        mask = np.zeros((32, 32), dtype=bool)
+        mask[4:12, 4:12] = True
+        np.testing.assert_array_equal(
+            person_crop(frame, (4, 4, 8, 8), 8, mask),
+            person_crop(frame, (4, 4, 8, 8), 8))
 
-    def test_bs_leq_rgb_pointwise(self):
-        video = make_clip(4)
-        masks = {t: np.random.default_rng(t).random((32, 32)) > 0.5
-                 for t in range(4)}
-        track = make_track([(2, 2, 12, 12)] * 4)
-        seq = extract_person_sequence(video, track, masks, out_size=12)
-        assert np.all(seq.bs.frames <= seq.rgb.frames + 1e-6)
+    def test_masked_leq_unmasked_pointwise(self, rng):
+        frame = rng.random((3, 32, 32)).astype(np.float32)
+        mask = rng.random((32, 32)) > 0.5
+        masked = person_crop(frame, (2, 2, 12, 12), 12, mask)
+        assert np.all(masked <= person_crop(frame, (2, 2, 12, 12), 12))
+        assert not np.array_equal(masked,
+                                  person_crop(frame, (2, 2, 12, 12), 12))
 
-    def test_short_track_skipped(self):
-        video = make_clip(5)
-        track = make_track([(0, 0, 8, 8)])
-        assert extract_person_sequence(video, track, None,
-                                       min_clip_frames=2) is None
-
-    def test_box_half_outside_zero_padded(self):
-        video = make_clip(2, h=16, w=16)
-        track = make_track([(-8, 0, 16, 16)] * 2)
-        seq = extract_person_sequence(video, track, None, out_size=16)
-        assert not seq.rgb.frames[:, :, :, :8].any()
+    def test_box_half_outside_zero_padded(self, rng):
+        frame = rng.random((3, 16, 16)).astype(np.float32)
+        crop = person_crop(frame, (-8, 0, 16, 16), 16)
+        assert not crop[:, :, :8].any()
+        np.testing.assert_array_equal(crop[:, :, 8:], frame[:, :, :8])
 
 
 class TestMhi:

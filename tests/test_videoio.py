@@ -61,6 +61,17 @@ class TestLoadFrameDir:
         assert clip.frames[0, 0, 0, 0] == pytest.approx(10 / 255)
         assert clip.frames[1, 0, 0, 0] == pytest.approx(2 / 255)
 
+    def test_random_ppm_frames_load_bit_exact(self, tmp_path, rng):
+        d = tmp_path / "v"
+        d.mkdir()
+        rasters = rng.integers(0, 256, (5, 3, 6, 7), dtype=np.uint8)
+        for i, raster in enumerate(rasters):
+            write_pnm(d / f"f{i:04d}.ppm", raster)
+        clip = load_frame_dir(d)
+        expected = rasters.astype(np.float32) / 255
+        assert clip.frames.dtype == np.float32
+        assert clip.frames.tobytes() == expected.tobytes()
+
     def test_mixed_sizes_rejected(self, tmp_path):
         d = tmp_path / "v"
         d.mkdir()
@@ -206,6 +217,28 @@ class TestArchive:
         pack_clip_archive(self.make(rng), path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(CorruptionError, match="record 2"):
+            read_clip_archive(path)
+
+    @pytest.mark.parametrize("cut", range(4, 24))
+    def test_cut_inside_header_names_file(self, tmp_path, rng, cut):
+        path = tmp_path / "a.a3dc"
+        pack_clip_archive(self.make(rng), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CorruptionError, match="a.a3dc"):
+            read_clip_archive(path)
+
+    def test_cut_inside_last_label_name(self, tmp_path):
+        path = tmp_path / "e.a3dc"
+        pack_clip_archive(ClipArchive(label_names=["walk"]), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptionError, match="label name 0"):
+            read_clip_archive(path)
+
+    def test_label_name_not_utf8(self, tmp_path, rng):
+        path = tmp_path / "a.a3dc"
+        pack_clip_archive(self.make(rng), path)
+        path.write_bytes(path.read_bytes().replace(b"wave", b"wa\xffe", 1))
+        with pytest.raises(CorruptionError, match="label name 1 is not UTF-8"):
             read_clip_archive(path)
 
     def test_mixed_channel_counts_allowed(self, tmp_path, rng):
