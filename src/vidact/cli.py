@@ -185,8 +185,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     spec = network_spec(cfg, variant)
     network = build_network(spec, seed=cfg.seed)
     tc = TrainConfig(lr=cfg.lr, batch=cfg.batch, epochs=cfg.epochs,
-                     seed=cfg.seed, split_preset=cfg.split,
-                     early_stop_acc=cfg.early_stop_acc)
+                     seed=cfg.seed, early_stop_acc=cfg.early_stop_acc)
     history = train(network, x[tr], y[tr], tc, x_val=x[va], y_val=y[va],
                     log=print)
     out = Path(cfg.out_dir)

@@ -81,7 +81,6 @@ class TrainConfig:
     batch: int = 64
     epochs: int = 100
     seed: int = 0
-    split_preset: str = "80/10/10"
     # Stop once val accuracy holds >= early_stop_acc for early_stop_patience
     # consecutive epochs (0 disables; epochs stays the hard cap).
     early_stop_acc: float = 1.01
@@ -478,15 +477,21 @@ def load_checkpoint(path: str | Path,
             raise CheckpointError(
                 f"{path}: spec keys unknown {sorted(keys - want)}, "
                 f"missing {sorted(want - keys)}")
-        spec = NetworkSpec(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in meta["spec"].items()})
+        try:
+            spec = NetworkSpec(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in meta["spec"].items()})
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad network spec: {e}") from e
         if spec.spec_hash() != spec_hash:
             raise CheckpointError(f"{path}: spec hash mismatch")
         if expect_spec is not None and expect_spec.spec_hash() != spec_hash:
             raise CheckpointError(
                 f"{path}: checkpoint spec ({spec.mode}, input "
                 f"{spec.input_shape}) incompatible with requested spec")
-        network = Network(spec, seed=0)
+        try:
+            network = Network(spec, seed=0)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad network spec: {e}") from e
         (n_params,) = struct.unpack_from("<I", data, pos)
         pos += 4
 

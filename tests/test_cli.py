@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -118,11 +119,23 @@ def rgb_checkpoint(dataset_dir, tmp_path_factory):
 
 
 def rewrite_metadata(ckpt, out, edit):
-    """Copy a checkpoint with its JSON metadata bytes replaced by edit()."""
+    """Copy a checkpoint with its JSON metadata bytes replaced by edit().
+
+    When the new metadata parses, the header's spec hash is recomputed from
+    it, so that a load fails on the spec's content, not on the hash.
+    """
     data = ckpt.read_bytes()
     (n,) = struct.unpack_from("<I", data, 14)
     meta = edit(data[18 : 18 + n])
-    out.write_bytes(data[:14] + struct.pack("<I", len(meta)) + meta
+    head = data[:14]
+    try:
+        spec = json.loads(meta)["spec"]
+    except ValueError:
+        pass
+    else:
+        digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode())
+        head = head[:6] + digest.digest()[:8]
+    out.write_bytes(head + struct.pack("<I", len(meta)) + meta
                     + data[18 + n :])
     return out
 
@@ -262,7 +275,10 @@ class TestTrainEval:
         edit_spec(lambda spec: spec.update(foo=1)),
         edit_spec(lambda spec: spec.pop("use_skips")),
         lambda raw: b"\xff" + raw[1:],
-    ], ids=["unknown_spec_key", "missing_spec_key", "not_utf8"])
+        edit_spec(lambda spec: spec.update(input_shape=5)),
+        edit_spec(lambda spec: spec.update(fc_width="64")),
+    ], ids=["unknown_spec_key", "missing_spec_key", "not_utf8",
+            "input_shape_not_a_list", "fc_width_not_an_int"])
     def test_eval_bad_checkpoint_metadata(self, dataset_dir, mhi_checkpoint,
                                           tmp_path, capsys, edit):
         bad = rewrite_metadata(mhi_checkpoint, tmp_path / "meta.a3dw", edit)

@@ -141,6 +141,100 @@ class TestConvBackward:
             conv_backward(x, params, np.zeros((1, 1, 2, 2, 2)))
 
 
+# Tile-boundary cases: (x shape, kernel shape, stride, padding). The last one
+# pads W wider than its kernel, so some upstream positions reach only padding.
+TILED_GEOMETRIES = {
+    "3d_same": ((3, 2, 3, 5, 4), (3, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    "2d_rank4": ((3, 2, 5, 6), (3, 2, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    "stride2": ((3, 2, 5, 9, 6), (2, 2, 3, 3, 2), (2, 2, 2), (1, 1, 2)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TILED_GEOMETRIES))
+def tiled_case(request):
+    """A geometry with its float64 oracles: the brute-force forward and the
+    central-difference gradients of sum(conv_forward * upstream)."""
+    xshape, kshape, stride, padding = TILED_GEOMETRIES[request.param]
+    r = np.random.default_rng(7)
+    x = r.standard_normal(xshape)
+    kern = r.standard_normal(kshape)
+    bias = r.standard_normal(kshape[0])
+    x5 = x if x.ndim == 5 else x[:, :, None]
+    out = brute_force_conv3d(x5, kern, bias, stride, padding)
+    oshape = out.shape[2:]
+    if x.ndim == 4:
+        out = out[:, :, 0]
+    up = r.standard_normal(out.shape)
+
+    def loss(xv, kv, bv):
+        return float(np.sum(conv_forward(xv, make_conv(kv, bv, stride,
+                                                       padding)) * up))
+
+    return {
+        "x": x, "kern": kern, "bias": bias, "stride": stride,
+        "padding": padding, "up": up, "out": out, "oshape": oshape,
+        "dx": central_difference(lambda v: loss(v, kern, bias), x),
+        "dw": central_difference(lambda v: loss(x, v, bias), kern),
+        "db": central_difference(lambda v: loss(x, kern, v), bias),
+    }
+
+
+class TestConvTiles:
+    TOL = {np.float64: 1e-6, np.float32: 1e-4}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("level", ["samples", "planes", "rows"])
+    def test_tiled_conv_matches_oracles(self, tiled_case, monkeypatch, dtype,
+                                        level):
+        # Tiles of two samples, two depth planes or two output rows: batch 3
+        # and 3 planes / 5 rows leave a ragged last tile.
+        c = tiled_case
+        n, co = c["x"].shape[0], c["kern"].shape[0]
+        k = int(np.prod(c["kern"].shape[1:]))
+        od, oh, ow = c["oshape"]
+        per_step = {"samples": od * oh * ow * k, "planes": oh * ow * k,
+                    "rows": ow * k}[level]
+        monkeypatch.setattr(T, "_TILE_ELEMS", 2 * per_step)
+        assert len(list(T._tiles(n, c["oshape"], k))) > 1
+
+        params = ConvParams(Tensor(c["kern"].astype(dtype)),
+                            Tensor(c["bias"].astype(dtype)),
+                            c["stride"], c["padding"])
+        x = c["x"].astype(dtype)
+        out = conv_forward(x, params)
+        dx, dw, db = conv_backward(x, params, c["up"].astype(dtype))
+        tol = self.TOL[dtype]
+        assert out.dtype == dx.dtype == dtype
+        assert out.shape == c["out"].shape and dx.shape == x.shape
+        assert dw.shape == (co,) + c["kern"].shape[1:]
+        assert max_rel_err(out, c["out"]) <= tol
+        assert max_rel_err(dx, c["dx"]) <= tol
+        assert max_rel_err(dw, c["dw"]) <= tol
+        assert max_rel_err(db, c["db"]) <= tol
+
+    def test_columns_stay_within_tile_budget(self, rng, monkeypatch):
+        # A 4->4-channel layer at the training gate's largest extent: every
+        # pass (forward, dW, dX) builds each column exactly once, one bounded
+        # tile at a time.
+        sizes = []
+        im2col = T._im2col
+
+        def recording(*args):
+            cols = im2col(*args)
+            sizes.append(cols.size)
+            return cols
+
+        monkeypatch.setattr(T, "_im2col", recording)
+        x = rng.standard_normal((64, 4, 8, 32, 32), dtype=np.float32)
+        params = ConvParams(
+            Tensor(rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)),
+            Tensor(np.zeros(4, dtype=np.float32)), (1, 1, 1), (1, 1, 1))
+        out = conv_forward(x, params)
+        conv_backward(x, params, np.ones_like(out))
+        assert max(sizes) <= T._TILE_ELEMS
+        assert sum(sizes) == 3 * 64 * (4 * 27) * (8 * 32 * 32)
+
+
 class TestMaxPool:
     def test_constant_input(self):
         x = np.full((1, 1, 4, 4, 4), 7.5)
