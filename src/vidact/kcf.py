@@ -4,11 +4,16 @@ Raw grayscale features: the target window (box expanded by a padding factor)
 is resampled to a fixed patch size, mean-subtracted, and Hann-windowed. Ridge
 regression over all cyclic shifts is solved in the frequency domain with a
 Gaussian kernel; detection is the argmax of the correlation response.
+
+Training is deferred: `kcf_init` stores the template patch, and the filter is
+solved from it only when it first detects, so a target that is re-anchored on
+every frame never pays for the FFTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +38,11 @@ class KcfConfig:
 
 @dataclass
 class KcfState:
+    """A filter on one target. `alpha_hat` is None until the filter first
+    detects; `kcf_response` then trains it from `template`."""
+
     template: np.ndarray         # processed feature patch, p x p
-    alpha_hat: np.ndarray        # dual solution, frequency domain, p x p
+    alpha_hat: np.ndarray | None  # dual solution, frequency domain, p x p
     box: tuple[float, float, float, float]
     config: KcfConfig
 
@@ -80,30 +88,44 @@ def gaussian_label(size: int, sigma: float) -> np.ndarray:
     return np.outer(g, g)
 
 
-def _train(patch: np.ndarray, config: KcfConfig) -> np.ndarray:
-    p = config.patch_size
-    label = gaussian_label(p, config.output_sigma_factor * p)
+@lru_cache(maxsize=None)
+def _label_hat(p: int, output_sigma_factor: float) -> np.ndarray:
+    label = gaussian_label(p, output_sigma_factor * p)
     # Shift the label so the peak sits at index (0, 0): detection displacement
     # is then read directly off the response argmax.
     label = np.roll(label, (-(p // 2), -(p // 2)), axis=(0, 1))
     label_hat = np.fft.fft2(label)
+    label_hat.flags.writeable = False
+    return label_hat
+
+
+def _train(patch: np.ndarray, config: KcfConfig) -> np.ndarray:
+    label_hat = _label_hat(config.patch_size, config.output_sigma_factor)
     k_hat = np.fft.fft2(gaussian_correlation(patch, patch, config.sigma))
     return label_hat / (k_hat + config.lambda_)
 
 
 def kcf_init(frame: np.ndarray, box, config: KcfConfig | None = None) -> KcfState:
-    """Train a fresh filter on a box of an (H, W) or (C, H, W) frame."""
+    """A fresh filter on a box of an (H, W) or (C, H, W) frame.
+
+    Checks the box and extracts the template patch; training waits until
+    the filter first detects (`kcf_response`).
+    """
     config = config or KcfConfig()
     x, y, w, h = box
     if w < 4 or h < 4:
         raise ValueError(f"degenerate box {box}: sides must be >= 4 px")
     gray = to_gray(frame)
     patch = extract_patch(gray, box, config)
-    return KcfState(template=patch, alpha_hat=_train(patch, config),
+    return KcfState(template=patch, alpha_hat=None,
                     box=tuple(float(v) for v in box), config=config)
 
 
 def kcf_response(state: KcfState, patch: np.ndarray) -> np.ndarray:
+    """Correlation response of the filter over all cyclic shifts of patch;
+    trains the filter from its template first if it has not been."""
+    if state.alpha_hat is None:
+        state.alpha_hat = _train(state.template, state.config)
     k_hat = np.fft.fft2(gaussian_correlation(patch, state.template,
                                              state.config.sigma))
     return np.real(np.fft.ifft2(k_hat * state.alpha_hat))

@@ -471,6 +471,12 @@ def load_checkpoint(path: str | Path,
         pos += 4
         meta = json.loads(data[pos : pos + meta_len].decode())
         pos += meta_len
+        if (not isinstance(meta, dict)
+                or not {"spec", "epoch", "history"} <= meta.keys()
+                or not isinstance(meta["spec"], dict)):
+            raise CheckpointError(
+                f"{path}: metadata is not an object with a spec object, "
+                "an epoch and a history")
         keys = set(meta["spec"])
         want = {f.name for f in fields(NetworkSpec)}
         if keys != want:

@@ -46,26 +46,33 @@ class Track:
 
 def associate(tracks: list[Track], detections: list[Detection],
               iou_threshold: float = 0.3):
-    """Greedy matching in descending IoU order.
+    """Greedy matching in descending IoU order, ties by track then detection
+    index.
 
-    Returns (matches, unmatched_tracks, unmatched_detections) where matches
-    pairs track list indices with detection list indices.
+    The track x detection IoU matrix is computed at once in float64, in the
+    same operation order as `iou`. Returns (matches, unmatched_tracks,
+    unmatched_detections) where matches pairs track list indices with
+    detection list indices.
     """
-    pairs = []
-    for ti, t in enumerate(tracks):
-        for di, d in enumerate(detections):
-            v = iou(t.box, d.box)
-            if v >= iou_threshold:
-                pairs.append((v, ti, di))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    used_t, used_d = set(), set()
-    matches = []
-    for v, ti, di in pairs:
-        if ti in used_t or di in used_d:
-            continue
-        used_t.add(ti)
-        used_d.add(di)
-        matches.append((ti, di))
+    matches, used_t, used_d = [], set(), set()
+    if tracks and detections:
+        ax, ay, aw, ah = np.array([t.box for t in tracks],
+                                  dtype=np.float64).T[:, :, None]
+        bx, by, bw, bh = np.array([d.box for d in detections],
+                                  dtype=np.float64).T[:, None, :]
+        ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+        iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+        inter = ix * iy
+        union = aw * ah + bw * bh - inter
+        v = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+        ti, di = np.nonzero(v >= iou_threshold)
+        order = np.lexsort((di, ti, -v[ti, di]))
+        for t, d in zip(ti[order].tolist(), di[order].tolist()):
+            if t in used_t or d in used_d:
+                continue
+            used_t.add(t)
+            used_d.add(d)
+            matches.append((t, d))
     unmatched_t = [i for i in range(len(tracks)) if i not in used_t]
     unmatched_d = [i for i in range(len(detections)) if i not in used_d]
     return matches, unmatched_t, unmatched_d
@@ -87,8 +94,10 @@ class MultiTracker:
     def step(self, frame: np.ndarray, detections: list[Detection],
              frame_index: int) -> list[Track]:
         """Advance one frame. Detections match each track's last recorded
-        box; a matched track re-anchors KCF on its detection, and only
-        unmatched tracks run KCF, to coast. Then spawn and retire tracks."""
+        box; a matched track stores a fresh KCF template from its detection,
+        and only unmatched tracks run KCF, to coast, training the filter
+        from that template on the first such frame. Then spawn and retire
+        tracks."""
         matches, unmatched_t, unmatched_d = associate(
             self.tracks, detections, self.iou_threshold)
 
@@ -97,7 +106,7 @@ class MultiTracker:
             det = detections[di]
             t.misses = 0
             t.record(frame_index, det.box)
-            # Re-anchor the filter on the confirmed detection box.
+            # Re-anchor the filter's template on the confirmed detection box.
             try:
                 t.kcf = kcf_init(frame, det.box, self.kcf_config)
             except ValueError:

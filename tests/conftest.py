@@ -90,3 +90,39 @@ def grad_check(forward, backward, inputs, h=1e-4):
         worst = max(worst, max_rel_err(g, central_difference(loss, inputs[i],
                                                              h)))
     return worst
+
+
+def flood_fill_components(mask, min_area=64, frame_index=0):
+    """Labeling oracle for `motionseg.connected_components`: a per-pixel
+    8-connected flood fill via an explicit stack, components ordered by the
+    scan position of their first pixel."""
+    from vidact.motionseg import Detection
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    h, w = mask.shape
+    detections = []
+    next_label = 0
+    ys, xs = np.nonzero(mask)
+    for sy, sx in zip(ys, xs):
+        if labels[sy, sx]:
+            continue
+        next_label += 1
+        stack = [(sy, sx)]
+        labels[sy, sx] = next_label
+        pixels_y, pixels_x = [], []
+        while stack:
+            y, x = stack.pop()
+            pixels_y.append(y)
+            pixels_x.append(x)
+            for ny in range(max(0, y - 1), min(h, y + 2)):
+                for nx in range(max(0, x - 1), min(w, x + 2)):
+                    if mask[ny, nx] and not labels[ny, nx]:
+                        labels[ny, nx] = next_label
+                        stack.append((ny, nx))
+        area = len(pixels_y)
+        if area < min_area:
+            continue
+        y0, y1 = min(pixels_y), max(pixels_y)
+        x0, x1 = min(pixels_x), max(pixels_x)
+        detections.append(Detection(box=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
+                                    area=area, frame_index=frame_index))
+    return detections

@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import flood_fill_components
 
-from vidact import cli
+from vidact import cli, motionseg
 from vidact.cli import main, shot_boundaries
 from vidact.config import ConfigError, PipelineConfig, load_config
 from vidact.sequences import person_crop
@@ -130,7 +131,7 @@ def rewrite_metadata(ckpt, out, edit):
     head = data[:14]
     try:
         spec = json.loads(meta)["spec"]
-    except ValueError:
+    except (ValueError, KeyError, TypeError):
         pass
     else:
         digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode())
@@ -141,9 +142,13 @@ def rewrite_metadata(ckpt, out, edit):
 
 
 def edit_spec(change):
+    return edit_meta(lambda meta: change(meta["spec"]))
+
+
+def edit_meta(change):
     def edit(raw):
         meta = json.loads(raw)
-        change(meta["spec"])
+        change(meta)
         return json.dumps(meta).encode()
     return edit
 
@@ -277,8 +282,16 @@ class TestTrainEval:
         lambda raw: b"\xff" + raw[1:],
         edit_spec(lambda spec: spec.update(input_shape=5)),
         edit_spec(lambda spec: spec.update(fc_width="64")),
+        edit_meta(lambda meta: meta.pop("spec")),
+        edit_meta(lambda meta: meta.pop("epoch")),
+        edit_meta(lambda meta: meta.pop("history")),
+        lambda raw: b"[" + raw + b"]",
+        edit_meta(lambda meta: meta.update(spec=5)),
+        edit_meta(lambda meta: meta.update(spec=None)),
     ], ids=["unknown_spec_key", "missing_spec_key", "not_utf8",
-            "input_shape_not_a_list", "fc_width_not_an_int"])
+            "input_shape_not_a_list", "fc_width_not_an_int", "no_spec",
+            "no_epoch", "no_history", "metadata_is_a_list",
+            "spec_is_a_number", "spec_is_null"])
     def test_eval_bad_checkpoint_metadata(self, dataset_dir, mhi_checkpoint,
                                           tmp_path, capsys, edit):
         bad = rewrite_metadata(mhi_checkpoint, tmp_path / "meta.a3dw", edit)
@@ -441,6 +454,39 @@ class TestRecognize:
         assert set(masked) == {variant == "mhi"}
         doc = json.loads((out / "summary.json").read_text())
         assert doc["subjects"] and doc["subjects"][0]["events"]
+
+    def test_outputs_match_flood_fill_labeling(self, mhi_checkpoint, tmp_path,
+                                               monkeypatch):
+        scene = SceneSpec(width=128, height=96, duration=2.0, sprites=[
+            SpriteSpec(pattern="translate", size=16, speed=1.5,
+                       start=(-20.0, 20.0), texture_seed=1),
+            SpriteSpec(pattern="oscillate_arms", size=16, start=(64.0, 48.0),
+                       texture_seed=2, delay=12),
+            SpriteSpec(pattern="translate", size=16, speed=-1.5,
+                       start=(150.0, 76.0), texture_seed=3)])
+        video, _ = generate_scene(scene)
+        frames_dir = tmp_path / "frames"
+        write_frames(video, frames_dir)
+
+        def recognize(out):
+            rc = main(TINY + ["--out-dir", str(out),
+                              "--checkpoint", str(mhi_checkpoint),
+                              "--set", "warmup_frames=10",
+                              "--set", "clip_seconds=0.32",
+                              "--set", "stride_seconds=0.32",
+                              "recognize", str(frames_dir)])
+            assert rc == 0
+            return [(out / name).read_bytes()
+                    for name in ("tracks.jsonl", "summary.json")]
+
+        runs = recognize(tmp_path / "runs")
+        monkeypatch.setattr(motionseg, "connected_components",
+                            flood_fill_components)
+        flood = recognize(tmp_path / "flood")
+        assert runs == flood
+        tracks = {json.loads(line)["track"]
+                  for line in runs[0].decode().splitlines()}
+        assert len(tracks) >= 3
 
     def test_track_seen_in_one_frame_skipped(self, mhi_checkpoint, tmp_path,
                                              capsys):

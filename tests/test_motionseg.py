@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import flood_fill_components
 from vidact.motionseg import (BackgroundModel, ExtentError, connected_components,
                               detect_people, morph, to_gray)
 from vidact.synth import SceneSpec, SpriteSpec, generate_scene
@@ -130,6 +133,64 @@ class TestConnectedComponents:
             sub = mask[y : y + h, x : x + w]
             assert sub[0].any() and sub[-1].any()
             assert sub[:, 0].any() and sub[:, -1].any()
+
+
+def checkerboard(h, w):
+    return (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(bool)
+
+
+def edge_runs(h, w):
+    # Rows alternate between a full-width run and runs at both edges only.
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    mask[1::2, :2] = mask[1::2, -2:] = True
+    return mask
+
+
+def assert_matches_flood_fill(mask):
+    for min_area in (1, 4, 64):
+        got = connected_components(mask, min_area, frame_index=7)
+        want = flood_fill_components(mask, min_area, frame_index=7)
+        assert got == want
+        assert [d.frame_index for d in got] == [7] * len(got)
+
+
+class TestConnectedComponentsOracle:
+    """Run-based labeling against the per-pixel flood fill: same boxes,
+    areas, order and frame index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                     max_side=24)))
+    @example(np.zeros((0, 7), dtype=bool))
+    @example(np.zeros((7, 0), dtype=bool))
+    @example(np.ones((1, 9), dtype=bool))
+    @example(np.ones((9, 1), dtype=bool))
+    @example(np.ones((20, 20), dtype=bool))
+    @example(checkerboard(12, 13))
+    @example(checkerboard(1, 8))
+    @example(edge_runs(11, 10))
+    def test_random_masks(self, mask):
+        assert_matches_flood_fill(mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 0.95),
+           st.integers(0, 2**32 - 1))
+    def test_dense_random_masks(self, h, w, density, seed):
+        r = np.random.default_rng(seed)
+        assert_matches_flood_fill(r.random((h, w)) < density)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (16, 16),
+                                       (15, 16)])
+    def test_structured_masks(self, shape):
+        h, w = shape
+        for mask in (np.ones(shape, dtype=bool), checkerboard(h, w),
+                     ~checkerboard(h, w), edge_runs(h, w)):
+            assert_matches_flood_fill(mask)
+
+    def test_checkerboard_is_one_component(self):
+        dets = connected_components(checkerboard(10, 10), min_area=1)
+        assert [(d.box, d.area) for d in dets] == [((0, 0, 10, 10), 50)]
 
 
 class TestGray:

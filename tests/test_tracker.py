@@ -1,8 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from vidact import kcf
 from vidact.kcf import (KcfConfig, extract_patch, gaussian_correlation,
                         gaussian_label, kcf_detect, kcf_init, kcf_update)
 from vidact.motionseg import BackgroundModel, detect_people, to_gray
@@ -136,6 +138,68 @@ class TestIou:
                 assert a == b
 
 
+class TestLazyKcf:
+    def count_trainings(self, monkeypatch):
+        calls, train = [], kcf._train
+
+        def counting(patch, config):
+            calls.append(config)
+            return train(patch, config)
+
+        monkeypatch.setattr(kcf, "_train", counting)
+        return calls
+
+    def test_init_defers_training(self, rng):
+        state = kcf_init(rng.random((64, 64)), (20, 20, 16, 16))
+        assert state.alpha_hat is None
+
+    def test_matches_eager_training(self):
+        sprite = SpriteSpec(pattern="translate", size=16, speed=1.5,
+                            start=(30.0, 40.0), texture_seed=3)
+        scene = SceneSpec(width=96, height=80, duration=2.0,
+                          sprites=[sprite], background_seed=5)
+        video, truth = generate_scene(scene)
+        lazy = kcf_init(video.frames[0], truth.per_frame[0][0][1])
+        eager = copy.deepcopy(lazy)
+        eager.alpha_hat = kcf._train(eager.template, eager.config)
+        for t in range(1, 8):
+            assert kcf_update(lazy, video.frames[t]) == \
+                kcf_update(eager, video.frames[t])
+            np.testing.assert_array_equal(lazy.template, eager.template)
+            np.testing.assert_array_equal(lazy.alpha_hat, eager.alpha_hat)
+
+    def test_matched_track_never_trains(self, rng, monkeypatch):
+        calls = self.count_trainings(monkeypatch)
+        frame = rng.random((64, 64))
+        tracker = MultiTracker(max_miss=2, min_area=1)
+        for t in range(6):
+            box = (10 + t, 10, 12, 12)
+            tracker.step(frame, [Detection(box=box, area=144)], t)
+        assert calls == []
+        # The first coasting step trains the deferred filter, then blends.
+        tracker.step(frame, [], 6)
+        assert len(calls) == 2
+        tracker.step(frame, [], 7)
+        assert len(calls) == 3
+
+    def test_label_transform_built_once_per_config(self, rng, monkeypatch):
+        kcf._label_hat.cache_clear()
+        labels, label = [], kcf.gaussian_label
+
+        def counting(size, sigma):
+            labels.append((size, sigma))
+            return label(size, sigma)
+
+        monkeypatch.setattr(kcf, "gaussian_label", counting)
+        frame = rng.random((64, 64))
+        for config in (KcfConfig(), KcfConfig(), KcfConfig(lambda_=1e-3),
+                       KcfConfig(patch_size=16)):
+            for box in ((8, 8, 12, 12), (20, 24, 16, 10)):
+                kcf_update(kcf_init(frame, box, config), frame)
+        assert sorted(size for size, _ in labels) == [16, 32]
+        kcf._label_hat.cache_clear()
+
+
 def make_track(tid, box, frame=0):
     t = Track(id=tid)
     t.record(frame, box)
@@ -186,6 +250,65 @@ class TestAssociate:
         assert iou(tracks[0].box, dets[0].box) < 0.3
         matches, _, _ = associate(tracks, dets, 0.3)
         assert not matches
+
+
+def associate_reference(tracks, detections, iou_threshold):
+    """Scalar greedy matching on `iou`: pairs sorted by (-iou, ti, di)."""
+    pairs = sorted((-iou(t.box, d.box), ti, di)
+                   for ti, t in enumerate(tracks)
+                   for di, d in enumerate(detections)
+                   if iou(t.box, d.box) >= iou_threshold)
+    used_t, used_d, matches = set(), set(), []
+    for _, ti, di in pairs:
+        if ti not in used_t and di not in used_d:
+            used_t.add(ti)
+            used_d.add(di)
+            matches.append((ti, di))
+    return (matches, [i for i in range(len(tracks)) if i not in used_t],
+            [i for i in range(len(detections)) if i not in used_d])
+
+
+class TestAssociateMatchesScalarReference:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_boxes(self, seed):
+        r = np.random.default_rng(seed)
+        n_t, n_d = r.integers(0, 7, size=2)
+        # A coarse grid makes overlaps, exact ties and zero sides common.
+        dets = [Detection(box=tuple(int(v) for v in r.integers(0, 5, 4) * 4),
+                          area=1) for _ in range(n_d)]
+        tracks = []
+        for ti in range(n_t):
+            if dets and r.random() < 0.3:
+                box = dets[r.integers(len(dets))].box     # an exact tie
+            else:
+                box = r.integers(0, 5, 4) * 4 + r.choice([0, 0.5, 0.25], 4)
+            tracks.append(make_track(ti, box))
+        for threshold in (0.0, 0.3, 1.0):
+            assert associate(tracks, dets, threshold) == \
+                associate_reference(tracks, dets, threshold)
+
+    def test_ties_in_track_then_detection_order(self):
+        box = (4, 4, 8, 8)
+        tracks = [make_track(i, box) for i in range(3)]
+        dets = [Detection(box=box, area=64) for _ in range(2)]
+        assert associate(tracks, dets, 0.3) == ([(0, 0), (1, 1)], [2], [])
+
+    def test_zero_area_boxes(self):
+        tracks = [make_track(1, (5, 5, 0, 0)), make_track(2, (5, 5, 0, 4))]
+        dets = [Detection(box=(5, 5, 0, 0), area=0),
+                Detection(box=(5, 5, 4, 0), area=0)]
+        for threshold in (0.0, 0.3):
+            assert associate(tracks, dets, threshold) == \
+                associate_reference(tracks, dets, threshold)
+        # Union 0 gives IoU 0, which a threshold of 0 still admits.
+        assert associate(tracks, dets, 0.0) == ([(0, 0), (1, 1)], [], [])
+
+    @pytest.mark.parametrize("n_t,n_d", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_sides(self, n_t, n_d):
+        tracks = [make_track(i, (i, 0, 4, 4)) for i in range(n_t)]
+        dets = [Detection(box=(i, 0, 4, 4), area=16) for i in range(n_d)]
+        assert associate(tracks, dets, 0.3) == \
+            ([], list(range(n_t)), list(range(n_d)))
 
 
 class TestTrackLifecycle:
