@@ -28,7 +28,7 @@ from .tracking import MultiTracker, dump_tracks
 from .videoio import (SPLIT_PRESETS, Clip, ClipArchive, FormatError,
                       StratificationError, load_frame_dir, pack_clip_archive,
                       read_clip_archive, resize_clip, segment_into_clips,
-                      split_dataset, write_pnm)
+                      split_dataset, window_frames, write_pnm)
 
 
 class UserError(Exception):
@@ -158,7 +158,7 @@ def cmd_pack(cfg: PipelineConfig, args) -> int:
     archive = ClipArchive(label_names=names)
     for li, label_dir in enumerate(label_dirs):
         for clip_dir in sorted(p for p in label_dir.iterdir() if p.is_dir()):
-            archive.clips.append(load_frame_dir(clip_dir, fps=cfg.fps))
+            archive.clips.append(load_frame_dir(clip_dir, fps=cfg.fps).clip())
             archive.labels.append(li)
     pack_clip_archive(archive, args.output)
     print(f"packed {len(archive)} clips, {len(names)} labels -> {args.output}")
@@ -228,18 +228,107 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _predict_windows(network, windows, cfg: PipelineConfig, variant: str):
-    xs = np.stack([clip_to_input(w, cfg, variant) for w in windows])
-    return predict(network, xs, cfg.batch)
+def _open_video(cfg: PipelineConfig, args):
+    """Set-up shared by recognize and classify: the model, its input variant
+    and label names, the window length and stride in frames, the frame
+    directory opened lazily, the out-dir (created) and an empty summary.
+    A window or stride under one frame is a ConfigError, raised before any
+    frame is read."""
+    network, variant, labels = _load_model(cfg, args.labels)
+    try:
+        window = window_frames(cfg.fps, cfg.clip_seconds, cfg.stride_seconds)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    frames = load_frame_dir(args.input, fps=cfg.fps)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary = Summary(video_id=str(args.input), fps=frames.fps, labels=labels)
+    return network, variant, window, frames, out, summary
+
+
+class TrackWindows:
+    """One track's windows, classified as its crops arrive.
+
+    The windows are those `segment_into_clips` cuts from the track's stacked
+    crops: clip_frames long, stride apart, by crop index, the final partial
+    window dropped. Only the crops that no finished window covers yet are
+    held. A window becomes its network input as soon as it fills (to_input:
+    stacked crops -> one sample), and the inputs go to classify (stacked
+    inputs -> labels, confidences) in groups of `batch`: the batches that
+    `predict` cuts from all of the track's inputs, so the results are too.
+    """
+
+    def __init__(self, clip_frames: int, stride: int, batch: int, to_input,
+                 classify):
+        self.clip_frames = clip_frames
+        self.stride = stride
+        self.batch = batch
+        self.to_input = to_input
+        self.classify = classify
+        self.crops: list[np.ndarray] = []   # from crop index next_start on
+        self.next_start = 0
+        self.pushed = 0
+        self.inputs: list[np.ndarray] = []  # not yet classified
+        self.starts: list[int] = []         # crop index of each window
+        self.preds: list[int] = []
+        self.confs: list[float] = []
+
+    def push(self, crop: np.ndarray) -> None:
+        if self.pushed >= self.next_start:  # else in a gap (stride > clip)
+            self.crops.append(crop)
+        self.pushed += 1
+        if len(self.crops) == self.clip_frames:
+            self.inputs.append(self.to_input(np.stack(self.crops)))
+            self.starts.append(self.next_start)
+            self.next_start += self.stride
+            del self.crops[:self.stride]
+            if len(self.inputs) == self.batch:
+                self._classify()
+
+    def _classify(self) -> None:
+        preds, confs = self.classify(np.stack(self.inputs))
+        self.preds += preds
+        self.confs += confs
+        self.inputs.clear()
+
+    def finish(self) -> tuple[list[int], list[float], list[int]]:
+        """Labels, confidences and start crop indices of all windows, once
+        no more crops will come; later calls return the same. A track that
+        never filled a window gets one window of all its crops."""
+        if not self.starts:
+            self.inputs.append(self.to_input(np.stack(self.crops)))
+            self.starts.append(0)
+        self.crops.clear()
+        if self.inputs:
+            self._classify()
+        return self.preds, self.confs, self.starts
 
 
 def cmd_recognize(cfg: PipelineConfig, args) -> int:
-    network, variant, labels = _load_model(cfg, args.labels)
-    video = load_frame_dir(args.input, fps=cfg.fps)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Surveillance mode: detect, track and label each person.
 
-    model = motionseg.BackgroundModel(*video.frames.shape[2:],
+    The video is processed one frame at a time: decode, segment, track, then
+    cut a crop for each track with a state at this frame (only the crop the
+    variant reads). Each track's crops feed its TrackWindows, which turns
+    each window into its network input as it fills and classifies the inputs
+    a full batch at a time, and classifies the rest when the track closes.
+    What is held depends on the people in view, the window length and the
+    batch size, not on the video's length, apart from each track's recorded
+    boxes and each window's label and confidence. After the last frame,
+    tracks seen in fewer than two frames are skipped and the rest become
+    timelines.
+    """
+    network, variant, (clip_frames, stride), frames, out, summary = \
+        _open_video(cfg, args)
+    fps = frames.fps
+
+    def to_input(crops: np.ndarray) -> np.ndarray:
+        return clip_to_input(Clip(crops, fps=fps), cfg, variant)
+
+    def classify(xs: np.ndarray):
+        return predict(network, xs, cfg.batch)
+
+    model = motionseg.BackgroundModel(*frames.shape[1:],
                                       alpha=cfg.bg_alpha,
                                       threshold=cfg.bg_threshold)
     tracker = MultiTracker(iou_threshold=cfg.iou_threshold,
@@ -248,14 +337,11 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
                                                 sigma=cfg.kcf_sigma,
                                                 lambda_=cfg.kcf_lambda,
                                                 interp=cfg.kcf_interp))
-    # Track id -> its person crops, one per recorded state; only the crop
-    # the variant reads is cut.
-    crops: dict[int, list[np.ndarray]] = {}
+    windows: dict[int, TrackWindows] = {}
     debug_dir = Path(cfg.debug_dir) if cfg.debug_dir else None
     if debug_dir:
         debug_dir.mkdir(parents=True, exist_ok=True)
-    for t in range(video.num_frames):
-        frame = video.frames[t]
+    for t, frame in enumerate(frames):
         gray = motionseg.to_gray(frame)
         if t == 0:
             model.seed(gray)
@@ -266,33 +352,37 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
             write_pnm(debug_dir / f"mask_{t:06d}.pgm",
                       (mask * 255).astype(np.uint8))
         if t >= cfg.warmup_frames:
+            closed = len(tracker.closed)
             for track in tracker.step(gray, detections, t):
                 if track.states[-1][0] == t:
-                    crops.setdefault(track.id, []).append(person_crop(
+                    if track.id not in windows:
+                        windows[track.id] = TrackWindows(
+                            clip_frames, stride, cfg.batch, to_input,
+                            classify)
+                    windows[track.id].push(person_crop(
                         frame, track.box, cfg.input_size,
                         None if variant == "rgb" else mask))
+            # A closed track gets no more crops: classify what it holds now
+            # (a track seen in one frame is skipped below, so drop it).
+            for track in tracker.closed[closed:]:
+                if len(track.states) < 2:
+                    del windows[track.id]
+                else:
+                    windows[track.id].finish()
         model.update_masked(gray, mask)
 
     tracks = tracker.all_tracks()
     dump_tracks(tracks, out / "tracks.jsonl")
-    summary = Summary(video_id=str(args.input), fps=video.fps, labels=labels)
-    win = max(2, round(video.fps * cfg.clip_seconds))
+    win = max(2, clip_frames)
     for track in tracks:
         if len(track.states) < 2:
             print(f"track {track.id}: too short, skipped")
             continue
-        source = Clip(np.stack(crops[track.id]), fps=video.fps,
-                      start_frame=track.states[0][0])
-        end = track.states[-1][0] + 1
-        windows = segment_into_clips(source, cfg.clip_seconds,
-                                     cfg.stride_seconds)
-        if not windows:
-            windows = [source]   # short track: one window, padded later
-        preds, confs = _predict_windows(network, windows, cfg, variant)
+        preds, confs, starts = windows[track.id].finish()
         preds = smooth_predictions(preds, cfg.smooth_window)
-        spans = [(w.start_frame, min(w.start_frame + win, end))
-                 for w in windows]
-        events = build_person_timeline(preds, confs, spans, labels)
+        first, end = track.states[0][0], track.states[-1][0] + 1
+        spans = [(first + s, min(first + s + win, end)) for s in starts]
+        events = build_person_timeline(preds, confs, spans, summary.labels)
         summary.subjects.append(Subject(id=track.id, kind="person",
                                         events=events))
     export(summary, "json", out / "summary.json")
@@ -302,19 +392,18 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    network, variant, labels = _load_model(cfg, args.labels)
-    video = load_frame_dir(args.input, fps=cfg.fps)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = Summary(video_id=str(args.input), fps=video.fps, labels=labels)
+    network, variant, (clip_frames, _), frames, out, summary = \
+        _open_video(cfg, args)
+    video = frames.clip()
     windows = segment_into_clips(video, cfg.clip_seconds, cfg.stride_seconds)
     if windows:
-        preds, confs = _predict_windows(network, windows, cfg, variant)
-        win = round(video.fps * cfg.clip_seconds)
-        spans = [(w.start_frame, w.start_frame + win) for w in windows]
+        xs = np.stack([clip_to_input(w, cfg, variant) for w in windows])
+        preds, confs = predict(network, xs, cfg.batch)
+        spans = [(w.start_frame, w.start_frame + clip_frames)
+                 for w in windows]
         bounds = shot_boundaries(video, cfg.shot_energy_threshold)
         events = build_shot_timeline(video.num_frames, bounds, preds, spans,
-                                     confs, labels)
+                                     confs, summary.labels)
         summary.subjects.append(Subject(id=0, kind="shot", events=events))
     else:
         print("warning: video shorter than one clip; empty summary")

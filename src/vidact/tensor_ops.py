@@ -392,8 +392,25 @@ def _channel_view(a: np.ndarray, ndim: int) -> np.ndarray:
     return a.reshape((1, -1) + (1,) * (ndim - 2))
 
 
+def _slopes(neg: np.ndarray, av: np.ndarray, dtype) -> np.ndarray:
+    """The per-element slope: a (one per channel) where neg, else 1.
+
+    Built in one array as -(neg * -a - (not neg)) rather than with a where
+    pass, which is several times slower. Where neg that is -(-a - 0.0),
+    which is a for every a, a slope of -0.0 included; elsewhere -(±0 - 1).
+    """
+    out = np.multiply(neg, -av, dtype=dtype)
+    np.subtract(out, ~neg, out=out)
+    np.negative(out, out=out)
+    return out
+
+
 def prelu_forward(x: np.ndarray, params: PReLUParams) -> np.ndarray:
-    """f(y) = y for y > 0, a*y otherwise, with one slope per channel."""
+    """f(y) = y for y > 0, a*y otherwise, with one slope per channel.
+
+    Computed as x times a per-element slope (1 or a), bit-identical to
+    where(x > 0, x, a*x) and several times faster than that where pass.
+    """
     x = np.asarray(x)
     a = params.a.data
     if x.ndim < 2 or x.shape[1] != a.shape[0]:
@@ -402,23 +419,32 @@ def prelu_forward(x: np.ndarray, params: PReLUParams) -> np.ndarray:
             f"slope count {a.shape[0]}"
         )
     av = _channel_view(a, x.ndim)
-    return np.where(x > 0, x, av * x)
+    out = _slopes(x <= 0, av, np.result_type(x, av))
+    out *= x
+    return out
 
 
 def prelu_backward(
     x: np.ndarray, params: PReLUParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (input-grad, per-channel slope-grad)."""
+    """Returns (input-grad, per-channel slope-grad): upstream times the slope
+    (1 or a) and, per channel, the sum of x * upstream over x <= 0, both
+    bit-identical to their where forms for finite x and upstream."""
     x = np.asarray(x)
+    upstream = np.asarray(upstream)
     a = params.a.data
     if x.shape[1] != a.shape[0]:
         raise DimensionError("channel mismatch in prelu_backward")
     av = _channel_view(a, x.ndim)
     neg = x <= 0
-    dx = np.where(neg, av * upstream, upstream)
+    dx = _slopes(neg, av, np.result_type(upstream, av))
+    dx *= upstream
     axes = (0,) + tuple(range(2, x.ndim))
-    da = np.sum(np.where(neg, x * upstream, 0.0), axis=axes)
-    return dx, da
+    # x where x <= 0 (-0.0 kept), else a zero; a zero term's sign cannot
+    # reach the sum, which numpy starts from +0.0.
+    terms = np.minimum(0, x)
+    terms *= upstream
+    return dx, np.sum(terms, axis=axes)
 
 
 def linear_forward(x: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:

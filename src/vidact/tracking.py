@@ -97,7 +97,7 @@ class MultiTracker:
         box; a matched track stores a fresh KCF template from its detection,
         and only unmatched tracks run KCF, to coast, training the filter
         from that template on the first such frame. Then spawn and retire
-        tracks."""
+        tracks; a retired track keeps its states but drops its filter."""
         matches, unmatched_t, unmatched_d = associate(
             self.tracks, detections, self.iou_threshold)
 
@@ -137,6 +137,7 @@ class MultiTracker:
         for t in self.tracks:
             if t.misses > self.max_miss:
                 t.status = "closed"
+                t.kcf = None
                 self.closed.append(t)
             else:
                 still_active.append(t)

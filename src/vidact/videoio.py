@@ -109,8 +109,70 @@ def write_pnm(path: str | Path, image: np.ndarray) -> None:
     Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (w, h) + raster.tobytes())
 
 
-def load_frame_dir(path: str | Path, fps: float = 25.0) -> Clip:
-    """Stack all PGM/PPM frames of a directory, in lexicographic name order.
+def _pnm_shape(path: Path) -> tuple[int, int, int]:
+    """(C, H, W) from a PNM file's header. Only the first 4 KiB are read,
+    unless the header runs past them."""
+    with open(path, "rb") as fh:
+        data = fh.read(4096)
+        try:
+            magic, width, height, offset = _read_pnm_header(data, str(path))
+            complete = offset <= len(data)
+        except FormatError:
+            if len(data) < 4096:
+                raise
+            complete = False
+        if not complete:
+            data += fh.read()
+            magic, width, height, _ = _read_pnm_header(data, str(path))
+    return (1 if magic == b"P5" else 3), height, width
+
+
+class FrameDir:
+    """The PGM/PPM frames of a directory, decoded one at a time.
+
+    Iterating yields each frame as a C-contiguous float32 (C, H, W) array in
+    [0, 1], raw value / 255. A frame is read only when it is reached, so a
+    truncated raster raises FormatError, naming its file, at that frame.
+    """
+
+    def __init__(self, path: Path, paths: list[Path],
+                 shape: tuple[int, int, int], fps: float):
+        if fps <= 0:
+            raise FormatError("fps must be positive")
+        self.paths = paths
+        self.shape = shape
+        self.fps = fps
+        self.source_id = str(path)
+
+    @property
+    def num_frames(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        for p in self.paths:
+            raw = read_pnm(p)
+            if raw.shape != self.shape:
+                raise FormatError(f"{p}: frame shape {raw.shape} differs "
+                                  f"from first frame {self.shape}")
+            frame = np.empty(self.shape, dtype=np.float32)
+            frame[...] = raw
+            frame /= 255.0
+            yield frame
+
+    def clip(self) -> Clip:
+        """All frames stacked as one T x C x H x W clip."""
+        stack = np.empty((self.num_frames,) + self.shape, dtype=np.float32)
+        for i, frame in enumerate(self):
+            stack[i] = frame
+        return Clip(stack, fps=self.fps, source_id=self.source_id)
+
+
+def load_frame_dir(path: str | Path, fps: float = 25.0) -> FrameDir:
+    """Open the PGM/PPM frames of a directory, in lexicographic name order.
+
+    Every header is parsed here, so an empty directory and frames of mixed
+    shapes raise FormatError at once; the rasters are decoded only as the
+    returned FrameDir is iterated (or stacked with `clip()`).
 
     Note the ordering is purely lexicographic: "f10.pgm" sorts before
     "f2.pgm". Zero-pad frame numbers when exporting.
@@ -119,19 +181,14 @@ def load_frame_dir(path: str | Path, fps: float = 25.0) -> Clip:
     names = sorted(p for p in path.iterdir() if p.suffix in (".pgm", ".ppm"))
     if not names:
         raise FormatError(f"{path}: no PGM/PPM frames found")
-    first = read_pnm(names[0])
-    shape = first.shape
-    stack = np.empty((len(names),) + shape, dtype=np.float32)
-    stack[0] = first
-    for i, p in enumerate(names[1:], start=1):
-        f = read_pnm(p)
-        if f.shape != shape:
+    shape = _pnm_shape(names[0])
+    for p in names[1:]:
+        other = _pnm_shape(p)
+        if other != shape:
             raise FormatError(
-                f"{p}: frame shape {f.shape} differs from first frame {shape}"
+                f"{p}: frame shape {other} differs from first frame {shape}"
             )
-        stack[i] = f
-    stack /= 255.0
-    return Clip(stack, fps=fps, source_id=str(path))
+    return FrameDir(path, names, shape, fps)
 
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -165,15 +222,30 @@ def resize_clip(clip: Clip, out_h: int, out_w: int) -> Clip:
                 start_frame=clip.start_frame)
 
 
+def window_frames(fps: float, clip_seconds: float,
+                  stride_seconds: float | None = None) -> tuple[int, int]:
+    """Window length and stride in frames, each round(fps * seconds); the
+    stride defaults to the window length. ValueError, naming the argument,
+    when either rounds to less than one frame."""
+    if stride_seconds is None:
+        stride_seconds = clip_seconds
+    out = []
+    for name, seconds in (("clip_seconds", clip_seconds),
+                          ("stride_seconds", stride_seconds)):
+        frames = round(fps * seconds)
+        if frames < 1:
+            raise ValueError(f"{name}={seconds} is {frames} frames at "
+                             f"{fps} fps; clip and stride must cover at "
+                             f"least one frame")
+        out.append(frames)
+    return out[0], out[1]
+
+
 def segment_into_clips(video: Clip, clip_seconds: float = 1.6,
                        stride_seconds: float | None = None) -> list[Clip]:
     """Fixed-length windows from frame 0, stride apart; final partial dropped."""
-    if stride_seconds is None:
-        stride_seconds = clip_seconds
-    clip_frames = round(video.fps * clip_seconds)
-    stride = round(video.fps * stride_seconds)
-    if clip_frames < 1 or stride < 1:
-        raise ValueError("clip and stride must cover at least one frame")
+    clip_frames, stride = window_frames(video.fps, clip_seconds,
+                                        stride_seconds)
     out = []
     start = 0
     while start + clip_frames <= video.num_frames:

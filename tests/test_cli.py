@@ -1,10 +1,12 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import flood_fill_components
+from hypothesis import given, settings, strategies as st
 
 from vidact import cli, motionseg
 from vidact.cli import main, shot_boundaries
@@ -13,7 +15,7 @@ from vidact.sequences import person_crop
 from vidact.synth import SceneSpec, SpriteSpec, generate_scene, \
     generate_shot_video
 from vidact.videoio import (Clip, ClipArchive, pack_clip_archive,
-                            read_clip_archive, write_pnm)
+                            read_clip_archive, segment_into_clips, write_pnm)
 
 TINY = ["--set", "input_size=32", "--set", "enc_channels=2,2",
         "--set", "head_channels=2,2,2", "--set", "fc_width=8",
@@ -384,6 +386,21 @@ class TestClassify:
         assert doc["subjects"] == []
 
 
+def three_sprite_frames(tmp_path, duration=2.0):
+    """The frames of a 128x96 scene: two walkers and one waving actor."""
+    scene = SceneSpec(width=128, height=96, duration=duration, sprites=[
+        SpriteSpec(pattern="translate", size=16, speed=1.5,
+                   start=(-20.0, 20.0), texture_seed=1),
+        SpriteSpec(pattern="oscillate_arms", size=16, start=(64.0, 48.0),
+                   texture_seed=2, delay=12),
+        SpriteSpec(pattern="translate", size=16, speed=-1.5,
+                   start=(150.0, 76.0), texture_seed=3)])
+    video, _ = generate_scene(scene)
+    frames_dir = tmp_path / "frames"
+    write_frames(video, frames_dir)
+    return frames_dir
+
+
 class TestRecognize:
     def test_single_walker_yields_timeline(self, mhi_checkpoint, tmp_path):
         scene = SceneSpec(width=128, height=96, duration=2.0,
@@ -457,16 +474,7 @@ class TestRecognize:
 
     def test_outputs_match_flood_fill_labeling(self, mhi_checkpoint, tmp_path,
                                                monkeypatch):
-        scene = SceneSpec(width=128, height=96, duration=2.0, sprites=[
-            SpriteSpec(pattern="translate", size=16, speed=1.5,
-                       start=(-20.0, 20.0), texture_seed=1),
-            SpriteSpec(pattern="oscillate_arms", size=16, start=(64.0, 48.0),
-                       texture_seed=2, delay=12),
-            SpriteSpec(pattern="translate", size=16, speed=-1.5,
-                       start=(150.0, 76.0), texture_seed=3)])
-        video, _ = generate_scene(scene)
-        frames_dir = tmp_path / "frames"
-        write_frames(video, frames_dir)
+        frames_dir = three_sprite_frames(tmp_path)
 
         def recognize(out):
             rc = main(TINY + ["--out-dir", str(out),
@@ -506,6 +514,196 @@ class TestRecognize:
         assert "track 1: too short, skipped" in capsys.readouterr().out
         assert len((out / "tracks.jsonl").read_text().splitlines()) == 1
         assert json.loads((out / "summary.json").read_text())["subjects"] == []
+
+
+class TestTrackWindows:
+    """The streaming window buffer cuts what segment_into_clips cuts from
+    the whole stacked crop list, and classifies it in predict's batches."""
+
+    @staticmethod
+    def reference(crops, clip_frames, stride):
+        source = Clip(np.stack(crops), fps=25.0)
+        windows = segment_into_clips(source, clip_frames / 25.0,
+                                     stride / 25.0) or [source]
+        return [w.frames for w in windows], [w.start_frame for w in windows]
+
+    @staticmethod
+    def run(crops, clip_frames, stride, batch, to_input):
+        """Push the crops; returns the finish() results, the batches
+        classified and the most crops held at once."""
+        batches = []
+
+        def classify(xs):
+            batches.append(xs)
+            first = sum(len(b) for b in batches) - len(xs)
+            return (list(range(first, first + len(xs))),
+                    [float(x.sum()) for x in xs])
+
+        buffer = cli.TrackWindows(clip_frames, stride, batch, to_input,
+                                  classify)
+        held = 0
+        for crop in crops:
+            buffer.push(crop)
+            held = max(held, len(buffer.crops))
+            assert len(buffer.inputs) < batch
+        return buffer.finish(), batches, held
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), clip_frames=st.integers(1, 12),
+           stride=st.integers(1, 15), batch=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_matches_segment_into_clips(self, n, clip_frames, stride, batch,
+                                        seed):
+        rng = np.random.default_rng(seed)
+        crops = list(rng.random((n, 2, 3, 3)).astype(np.float32))
+        (preds, confs, starts), batches, held = self.run(
+            crops, clip_frames, stride, batch, lambda f: f * 1)
+        want, want_starts = self.reference(crops, clip_frames, stride)
+        assert starts == want_starts
+        assert preds == list(range(len(want)))
+        assert confs == [float(w.sum()) for w in want]
+        assert [len(b) for b in batches] == \
+            [len(want[i:i + batch]) for i in range(0, len(want), batch)]
+        windows = [x for b in batches for x in b]
+        assert all(x.tobytes() == w.tobytes() for x, w in zip(windows, want))
+        assert held <= clip_frames
+
+    @pytest.mark.parametrize("variant", ["mhi", "rgb", "bs"])
+    @pytest.mark.parametrize("clip_frames,stride", [(8, 8), (8, 3), (5, 9),
+                                                    (16, 4), (50, 1)])
+    def test_network_inputs_match(self, rng, variant, clip_frames, stride):
+        cfg = PipelineConfig(input_size=8, input_frames=4,
+                             input_variant=variant)
+        crops = list(rng.random((37, 3, 8, 8)).astype(np.float32))
+
+        def to_input(frames):
+            return cli.clip_to_input(Clip(frames, fps=25.0), cfg, variant)
+
+        (_, _, starts), batches, _ = self.run(crops, clip_frames, stride, 4,
+                                              to_input)
+        windows, want_starts = self.reference(crops, clip_frames, stride)
+        want = np.stack([to_input(w) for w in windows])
+        assert starts == want_starts
+        assert np.concatenate(batches).tobytes() == want.tobytes()
+
+
+class TestRecognizeStreaming:
+    @pytest.mark.parametrize("variant", ["mhi", "rgb", "bs"])
+    @pytest.mark.parametrize("stride_seconds", ["0.32", "0.12", "0.48"])
+    def test_summary_matches_full_crop_lists(self, request, tmp_path,
+                                             monkeypatch, variant,
+                                             stride_seconds):
+        ckpt = request.getfixturevalue(
+            "mhi_checkpoint" if variant == "mhi" else "rgb_checkpoint")
+        frames_dir = three_sprite_frames(tmp_path)
+        args = TINY + ["--checkpoint", str(ckpt),
+                       "--set", f"input_variant={variant}",
+                       "--set", "input_frames=8",
+                       "--set", "warmup_frames=10",
+                       "--set", "clip_seconds=0.32",
+                       "--set", f"stride_seconds={stride_seconds}"]
+
+        def recognize(out):
+            rc = main(args + ["--out-dir", str(out), "recognize",
+                              str(frames_dir)])
+            assert rc == 0
+            return [(out / name).read_bytes()
+                    for name in ("tracks.jsonl", "summary.json")]
+
+        streamed = recognize(tmp_path / "streamed")
+
+        class FullCropList:
+            """Every crop of the track kept to the end, then cut into
+            windows by segment_into_clips and classified in one call."""
+
+            def __init__(self, clip_frames, stride, batch, to_input,
+                         classify):
+                self.to_input, self.classify = to_input, classify
+                self.crops = []
+
+            def push(self, crop):
+                self.crops.append(crop)
+
+            def finish(self):
+                source = Clip(np.stack(self.crops), fps=25.0)
+                windows = segment_into_clips(
+                    source, 0.32, float(stride_seconds)) or [source]
+                preds, confs = self.classify(
+                    np.stack([self.to_input(w.frames) for w in windows]))
+                return preds, confs, [w.start_frame for w in windows]
+
+        monkeypatch.setattr(cli, "TrackWindows", FullCropList)
+        assert recognize(tmp_path / "full") == streamed
+        doc = json.loads(streamed[1])
+        assert sum(len(s["events"]) for s in doc["subjects"]) >= 3
+
+    def test_memory_does_not_grow_with_video_length(self, mhi_checkpoint,
+                                                    tmp_path):
+        peaks = []
+        for frames in (60, 240):
+            frames_dir = three_sprite_frames(tmp_path / str(frames),
+                                             duration=frames / 25.0)
+            # batch=4: both runs fill whole predict batches, whose
+            # activations would otherwise grow up to the batch size.
+            args = TINY + ["--checkpoint", str(mhi_checkpoint),
+                           "--out-dir", str(tmp_path / str(frames) / "out"),
+                           "--set", "batch=4", "--set", "warmup_frames=10",
+                           "--set", "clip_seconds=0.32",
+                           "--set", "stride_seconds=0.32",
+                           "recognize", str(frames_dir)]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 240 frames of 3x96x128 float32 alone would be 35 MiB.
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize("command", ["recognize", "classify"])
+    @pytest.mark.parametrize("key,value", [("stride_seconds", "0.01"),
+                                           ("clip_seconds", "0.01")])
+    def test_window_under_one_frame_is_config_error(self, mhi_checkpoint,
+                                                    tmp_path, capsys,
+                                                    command, key, value):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for t in range(3):
+            write_pnm(frames_dir / f"{t:03d}.ppm",
+                      np.zeros((3, 16, 16), dtype=np.uint8))
+        # A raster cut short: the check must come before any frame is read.
+        first = frames_dir / "000.ppm"
+        first.write_bytes(first.read_bytes()[:-1])
+        out = tmp_path / "out"
+        rc = main(TINY + ["--checkpoint", str(mhi_checkpoint),
+                          "--out-dir", str(out), "--set", f"{key}={value}",
+                          command, str(frames_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {key}={value}" in err and "one frame" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,outputs", [
+        ("recognize", ("tracks.jsonl", "summary.json", "summary.svg")),
+        ("classify", ("summary.json", "summary.svg"))])
+    def test_frame_truncated_partway_is_format_error(self, mhi_checkpoint,
+                                                     tmp_path, capsys,
+                                                     command, outputs):
+        frames_dir = three_sprite_frames(tmp_path)
+        bad = sorted(frames_dir.iterdir())[23]
+        bad.write_bytes(bad.read_bytes()[:-100])
+        out = tmp_path / "out"
+        rc = main(TINY + ["--checkpoint", str(mhi_checkpoint),
+                          "--out-dir", str(out),
+                          "--set", "warmup_frames=10",
+                          "--set", "clip_seconds=0.32",
+                          "--set", "stride_seconds=0.32",
+                          command, str(frames_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and bad.name in err
+        assert "truncated" in err
+        assert not any((out / name).exists() for name in outputs)
 
 
 class TestSummarize:

@@ -319,6 +319,69 @@ class TestPReLU:
             prelu_forward(np.zeros((1, 4)), self.params([0.25]))
 
 
+def where_prelu_forward(x, a):
+    """The where form prelu_forward must match bit for bit."""
+    av = a.reshape((1, -1) + (1,) * (x.ndim - 2))
+    return np.where(x > 0, x, av * x)
+
+
+def where_prelu_backward(x, a, upstream):
+    av = a.reshape((1, -1) + (1,) * (x.ndim - 2))
+    neg = x <= 0
+    axes = (0,) + tuple(range(2, x.ndim))
+    return (np.where(neg, av * upstream, upstream),
+            np.sum(np.where(neg, x * upstream, 0.0), axis=axes))
+
+
+class TestPReLUMatchesWhereForm:
+    # Slopes: the gate's init, ReLU, a -0.0 slope, identity, negative, > 1.
+    SLOPES = [0.25, 0.0, -0.0, 1.0, -0.5, 1.5, 3e-8]
+
+    def case(self, rng, shape, x_dtype, a_dtype):
+        n, c = shape[:2]
+        a = np.resize(np.asarray(self.SLOPES), c).astype(a_dtype)
+        x = rng.standard_normal(shape).astype(x_dtype)
+        up = rng.standard_normal(shape).astype(x_dtype)
+        flat_x, flat_up = x.reshape(-1), up.reshape(-1)
+        picks = rng.choice(flat_x.size, size=flat_x.size // 5, replace=False)
+        flat_x[picks[0::2]] = 0.0
+        flat_x[picks[1::2]] = -0.0
+        flat_up[rng.choice(flat_up.size, size=flat_up.size // 7)] = -0.0
+        x[:, 0] = -np.abs(x[:, 0])             # an all-negative channel
+        x[:, 1] = np.abs(x[:, 1]) + 0.5        # an all-positive channel ...
+        up[:, 1] = -np.abs(up[:, 1])           # ... whose terms are all -0
+        if c > 2:
+            x[:, 2] = -0.0                     # an all -0.0 channel
+            up[:, 2] = np.abs(up[:, 2])
+        return x, a, up
+
+    @pytest.mark.parametrize("x_dtype,a_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 7, 2, 4, 4), (2, 3, 9),
+                                       (1, 2, 1, 1, 1)])
+    def test_forward_and_backward_bit_identical(self, rng, shape, x_dtype,
+                                                a_dtype):
+        x, a, up = self.case(rng, shape, x_dtype, a_dtype)
+        params = PReLUParams(Tensor(a))
+        out = prelu_forward(x, params)
+        want = where_prelu_forward(x, a)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        dx, da = prelu_backward(x, params, up)
+        want_dx, want_da = where_prelu_backward(x, a, up)
+        assert dx.dtype == want_dx.dtype and dx.tobytes() == want_dx.tobytes()
+        assert da.dtype == want_da.dtype and da.tobytes() == want_da.tobytes()
+
+    def test_single_term_channel_sums(self):
+        # One element per channel, so each slope gradient is one term: 0 from
+        # x > 0 (upstream < 0), -0.0 * 3, +0.0 * 3 and an ordinary product.
+        x = np.array([[2.0, -0.0, 0.0, -4.0]], dtype=np.float32)
+        up = np.array([[-1.0, 3.0, 3.0, 0.5]], dtype=np.float32)
+        a = np.full(4, 0.25, dtype=np.float32)
+        _, da = prelu_backward(x, PReLUParams(Tensor(a)), up)
+        assert da.tobytes() == where_prelu_backward(x, a, up)[1].tobytes()
+
+
 class TestLinear:
     def test_identity(self, rng):
         x = rng.standard_normal((3, 5))

@@ -5,7 +5,7 @@ from vidact.videoio import (Clip, ClipArchive, CorruptionError, FormatError,
                             StratificationError, load_frame_dir,
                             pack_clip_archive, read_clip_archive, read_pnm,
                             resize_bilinear, segment_into_clips,
-                            split_dataset, write_pnm)
+                            split_dataset, window_frames, write_pnm)
 
 
 class TestPnm:
@@ -42,13 +42,13 @@ class TestLoadFrameDir:
 
     def test_stacks_identical_frames(self, tmp_path):
         self.write_frames(tmp_path / "v", 10)
-        clip = load_frame_dir(tmp_path / "v")
+        clip = load_frame_dir(tmp_path / "v").clip()
         assert clip.frames.shape == (10, 1, 8, 8)
         assert np.all(clip.frames == clip.frames[0, 0, 0, 0])
 
     def test_255_maps_to_exactly_one(self, tmp_path):
         self.write_frames(tmp_path / "v", 1, value=255)
-        clip = load_frame_dir(tmp_path / "v")
+        clip = load_frame_dir(tmp_path / "v").clip()
         assert clip.frames.max() == 1.0
 
     def test_lexicographic_order(self, tmp_path):
@@ -56,7 +56,7 @@ class TestLoadFrameDir:
         d.mkdir()
         write_pnm(d / "f2.pgm", np.full((1, 4, 4), 2, dtype=np.uint8))
         write_pnm(d / "f10.pgm", np.full((1, 4, 4), 10, dtype=np.uint8))
-        clip = load_frame_dir(d)
+        clip = load_frame_dir(d).clip()
         # "f10" sorts before "f2"
         assert clip.frames[0, 0, 0, 0] == pytest.approx(10 / 255)
         assert clip.frames[1, 0, 0, 0] == pytest.approx(2 / 255)
@@ -67,7 +67,7 @@ class TestLoadFrameDir:
         rasters = rng.integers(0, 256, (5, 3, 6, 7), dtype=np.uint8)
         for i, raster in enumerate(rasters):
             write_pnm(d / f"f{i:04d}.ppm", raster)
-        clip = load_frame_dir(d)
+        clip = load_frame_dir(d).clip()
         expected = rasters.astype(np.float32) / 255
         assert clip.frames.dtype == np.float32
         assert clip.frames.tobytes() == expected.tobytes()
@@ -84,6 +84,59 @@ class TestLoadFrameDir:
         (tmp_path / "v").mkdir()
         with pytest.raises(FormatError, match="no PGM"):
             load_frame_dir(tmp_path / "v")
+
+
+    def test_frames_decoded_one_at_a_time(self, tmp_path, rng):
+        d = tmp_path / "v"
+        d.mkdir()
+        rasters = rng.integers(0, 256, (4, 3, 5, 6), dtype=np.uint8)
+        for i, raster in enumerate(rasters):
+            write_pnm(d / f"f{i:04d}.ppm", raster)
+        frames = load_frame_dir(d, fps=12.5)
+        assert (frames.num_frames, frames.fps, frames.source_id) == \
+            (4, 12.5, str(d))
+        stacked = frames.clip()
+        for t, frame in enumerate(frames):
+            assert frame.shape == (3, 5, 6) and frame.dtype == np.float32
+            assert frame.flags.c_contiguous
+            assert frame.tobytes() == stacked.frames[t].tobytes()
+
+    def test_truncated_raster_fails_when_reached(self, tmp_path):
+        d = tmp_path / "v"
+        self.write_frames(d, 5)
+        bad = d / "f0003.pgm"
+        bad.write_bytes(bad.read_bytes()[:-7])
+        frames = load_frame_dir(d)          # headers intact: opens
+        seen = 0
+        with pytest.raises(FormatError, match="f0003.pgm.*truncated"):
+            for _ in frames:
+                seen += 1
+        assert seen == 3
+
+    def test_header_longer_than_the_first_read(self, tmp_path):
+        d = tmp_path / "v"
+        d.mkdir()
+        raster = np.arange(12, dtype=np.uint8).reshape(1, 3, 4)
+        comment = b"# " + b"x" * 5000 + b"\n"
+        for cut in (4090, 4094, 4095, 4096, 4097):
+            # the width, height or maxval token straddles the 4 KiB mark
+            pad = b"#" + b"y" * (cut - 6) + b"\n"
+            (d / f"a{cut}.pgm").write_bytes(
+                b"P5\n" + pad + b"4 3\n255\n" + raster.tobytes())
+        (d / "b.pgm").write_bytes(b"P5\n" + comment + b"4 3\n255\n"
+                                  + raster.tobytes())
+        frames = load_frame_dir(d)
+        assert frames.shape == (1, 3, 4)
+        for frame in frames:
+            assert frame.tobytes() == (raster / np.float32(255)).tobytes()
+
+    def test_mixed_sizes_rejected_before_decoding(self, tmp_path):
+        d = tmp_path / "v"
+        d.mkdir()
+        write_pnm(d / "a.pgm", np.zeros((1, 4, 4), dtype=np.uint8))
+        (d / "b.pgm").write_bytes(b"P5\n5 5\n255\n")   # no raster at all
+        with pytest.raises(FormatError, match="b.pgm.*differs"):
+            load_frame_dir(d)
 
 
 class TestResize:
@@ -129,6 +182,20 @@ class TestSegment:
     def test_stride_smaller_than_clip(self):
         clips = segment_into_clips(self.video(100), 1.6, 0.8)
         assert [c.start_frame for c in clips] == [0, 20, 40, 60]
+
+    def test_window_frames_rounding(self):
+        assert window_frames(25.0, 1.6) == (40, 40)
+        assert window_frames(25.0, 0.64, 0.04) == (16, 1)
+        assert window_frames(10.0, 0.25, 0.35) == (2, 4)   # round half even
+
+    @pytest.mark.parametrize("clip_s,stride_s,name", [
+        (0.01, 1.0, "clip_seconds"), (1.0, 0.02, "stride_seconds"),
+        (0.0, 0.0, "clip_seconds"), (1.0, -1.0, "stride_seconds")])
+    def test_under_one_frame_rejected(self, clip_s, stride_s, name):
+        with pytest.raises(ValueError, match=f"{name}=.*at least one frame"):
+            window_frames(25.0, clip_s, stride_s)
+        with pytest.raises(ValueError, match=name):
+            segment_into_clips(self.video(10), clip_s, stride_s)
 
     def test_windows_within_bounds(self):
         v = self.video(77)
