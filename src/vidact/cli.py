@@ -27,8 +27,8 @@ from .summarize import (Subject, Summary, build_person_timeline,
 from .tracking import MultiTracker, dump_tracks
 from .videoio import (SPLIT_PRESETS, Clip, ClipArchive, FormatError,
                       StratificationError, load_frame_dir, pack_clip_archive,
-                      read_clip_archive, resize_clip, segment_into_clips,
-                      split_dataset, window_frames, write_pnm)
+                      read_clip_archive, resize_clip, split_dataset,
+                      window_frames, write_pnm)
 
 
 class UserError(Exception):
@@ -94,16 +94,14 @@ def derive_bs(clip: Clip, cfg: PipelineConfig) -> Clip:
                 start_frame=clip.start_frame)
 
 
-def shot_boundaries(video: Clip, threshold: float) -> list[int]:
-    """Frames where mean |frame difference| spikes above the threshold."""
-    diffs = np.mean(np.abs(np.diff(video.frames, axis=0)), axis=(1, 2, 3))
-    bounds = [int(t) + 1 for t in np.nonzero(diffs > threshold)[0]]
-    # Collapse runs of adjacent spikes to the first frame of each.
-    out = []
-    for b in bounds:
-        if not out or b > out[-1] + 1:
-            out.append(b)
-    return out
+def shot_boundaries(energy, threshold: float) -> list[int]:
+    """Shot cuts from per-pair energies: energy[t] is the mean |difference|
+    of frames t and t + 1. Frame t + 1 starts a shot when energy[t] is above
+    the threshold and energy[t - 1] is not, so a run of spikes (a gradual
+    cut) gives only its first frame."""
+    spikes = np.nonzero(np.asarray(energy) > threshold)[0]
+    return [int(t) + 1 for i, t in enumerate(spikes)
+            if i == 0 or t > spikes[i - 1] + 1]
 
 
 def _load_model(cfg: PipelineConfig, labels_path: str | None = None):
@@ -229,33 +227,52 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def _open_video(cfg: PipelineConfig, args):
-    """Set-up shared by recognize and classify: the model, its input variant
-    and label names, the window length and stride in frames, the frame
-    directory opened lazily, the out-dir (created) and an empty summary.
-    A window or stride under one frame is a ConfigError, raised before any
-    frame is read."""
+    """Set-up shared by recognize and classify. Returns the model's input
+    variant, the window length in frames, new_windows (each call gives an
+    empty TrackWindows that turns stacked crops into the model's input and
+    classifies the inputs with predict at cfg.batch), the frame directory
+    opened lazily, the out-dir (created) and an empty summary. A window or
+    stride under one frame, or an mhi window under two frames, is a
+    ConfigError, raised before any frame is read."""
     network, variant, labels = _load_model(cfg, args.labels)
     try:
-        window = window_frames(cfg.fps, cfg.clip_seconds, cfg.stride_seconds)
+        clip_frames, stride = window_frames(cfg.fps, cfg.clip_seconds,
+                                            cfg.stride_seconds)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    if variant == "mhi" and clip_frames < 2:
+        raise ConfigError(f"clip_seconds={cfg.clip_seconds} is {clip_frames} "
+                          f"frame at {cfg.fps} fps; a motion history image "
+                          f"needs windows of at least two frames")
     frames = load_frame_dir(args.input, fps=cfg.fps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = Summary(video_id=str(args.input), fps=frames.fps, labels=labels)
-    return network, variant, window, frames, out, summary
+
+    def to_input(stack: np.ndarray) -> np.ndarray:
+        return clip_to_input(Clip(stack, fps=frames.fps), cfg, variant)
+
+    def classify(xs: np.ndarray):
+        return predict(network, xs, cfg.batch)
+
+    def new_windows() -> TrackWindows:
+        return TrackWindows(clip_frames, stride, cfg.batch, to_input,
+                            classify)
+
+    return variant, clip_frames, new_windows, frames, out, summary
 
 
 class TrackWindows:
-    """One track's windows, classified as its crops arrive.
+    """One sequence's windows, classified as its crops arrive. The crops are
+    a track's person crops in recognize and the video's frames in classify.
 
-    The windows are those `segment_into_clips` cuts from the track's stacked
-    crops: clip_frames long, stride apart, by crop index, the final partial
+    The windows are those `segment_into_clips` cuts from the stacked
+    sequence: clip_frames long, stride apart, by index, the final partial
     window dropped. Only the crops that no finished window covers yet are
     held. A window becomes its network input as soon as it fills (to_input:
     stacked crops -> one sample), and the inputs go to classify (stacked
     inputs -> labels, confidences) in groups of `batch`: the batches that
-    `predict` cuts from all of the track's inputs, so the results are too.
+    `predict` cuts from all of the sequence's inputs, so the results are too.
     """
 
     def __init__(self, clip_frames: int, stride: int, batch: int, to_input,
@@ -318,16 +335,8 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
     tracks seen in fewer than two frames are skipped and the rest become
     timelines.
     """
-    network, variant, (clip_frames, stride), frames, out, summary = \
+    variant, clip_frames, new_windows, frames, out, summary = \
         _open_video(cfg, args)
-    fps = frames.fps
-
-    def to_input(crops: np.ndarray) -> np.ndarray:
-        return clip_to_input(Clip(crops, fps=fps), cfg, variant)
-
-    def classify(xs: np.ndarray):
-        return predict(network, xs, cfg.batch)
-
     model = motionseg.BackgroundModel(*frames.shape[1:],
                                       alpha=cfg.bg_alpha,
                                       threshold=cfg.bg_threshold)
@@ -356,9 +365,7 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
             for track in tracker.step(gray, detections, t):
                 if track.states[-1][0] == t:
                     if track.id not in windows:
-                        windows[track.id] = TrackWindows(
-                            clip_frames, stride, cfg.batch, to_input,
-                            classify)
+                        windows[track.id] = new_windows()
                     windows[track.id].push(person_crop(
                         frame, track.box, cfg.input_size,
                         None if variant == "rgb" else mask))
@@ -392,17 +399,32 @@ def cmd_recognize(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_classify(cfg: PipelineConfig, args) -> int:
-    network, variant, (clip_frames, _), frames, out, summary = \
-        _open_video(cfg, args)
-    video = frames.clip()
-    windows = segment_into_clips(video, cfg.clip_seconds, cfg.stride_seconds)
-    if windows:
-        xs = np.stack([clip_to_input(w, cfg, variant) for w in windows])
-        preds, confs = predict(network, xs, cfg.batch)
-        spans = [(w.start_frame, w.start_frame + clip_frames)
-                 for w in windows]
-        bounds = shot_boundaries(video, cfg.shot_energy_threshold)
-        events = build_shot_timeline(video.num_frames, bounds, preds, spans,
+    """Whole-video mode: label each window of the video, then split it into
+    shots, each labeled by the majority of the windows centred in it.
+
+    The video is read one frame at a time, in one pass. Each frame goes to
+    one TrackWindows, which cuts the windows from frame 0, clip_frames long
+    and stride apart (the final partial window dropped), and classifies
+    them a full batch at a time. The mean |difference| of each consecutive
+    frame pair is kept for shot_boundaries. What is held depends on the
+    window length and the batch size, not on the video's length, apart from
+    one energy per frame pair and each window's label and confidence. A
+    video shorter than one window gives an empty summary.
+    """
+    _, clip_frames, new_windows, frames, out, summary = _open_video(cfg, args)
+    windows = new_windows()
+    energy = []
+    prev = None
+    for frame in frames:
+        if prev is not None:
+            energy.append(np.mean(np.abs(frame - prev)))
+        windows.push(frame)
+        prev = frame
+    if windows.starts:
+        preds, confs, starts = windows.finish()
+        spans = [(start, start + clip_frames) for start in starts]
+        bounds = shot_boundaries(energy, cfg.shot_energy_threshold)
+        events = build_shot_timeline(frames.num_frames, bounds, preds, spans,
                                      confs, summary.labels)
         summary.subjects.append(Subject(id=0, kind="shot", events=events))
     else:

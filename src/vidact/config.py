@@ -69,8 +69,6 @@ _FIELDS = {f.name: f.type for f in fields(PipelineConfig)}
 
 def _coerce(key: str, value: str):
     default = getattr(PipelineConfig(), key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):

@@ -458,8 +458,7 @@ def save_checkpoint(network: Network, path: str | Path,
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_checkpoint(path: str | Path,
-                    expect_spec: NetworkSpec | None = None):
+def load_checkpoint(path: str | Path):
     """Returns (network, adam state or None, epoch, history)."""
     data = Path(path).read_bytes()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -490,10 +489,6 @@ def load_checkpoint(path: str | Path,
             raise CheckpointError(f"{path}: bad network spec: {e}") from e
         if spec.spec_hash() != spec_hash:
             raise CheckpointError(f"{path}: spec hash mismatch")
-        if expect_spec is not None and expect_spec.spec_hash() != spec_hash:
-            raise CheckpointError(
-                f"{path}: checkpoint spec ({spec.mode}, input "
-                f"{spec.input_shape}) incompatible with requested spec")
         try:
             network = Network(spec, seed=0)
         except (TypeError, ValueError) as e:

@@ -79,6 +79,9 @@ def _read_pnm_header(data: bytes, path: str):
         raise FormatError(f"{path}: bad PNM header field") from e
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: PNM extents {width}x{height} are not "
+                          f"positive")
     pos += 1  # single whitespace byte before the raster
     return magic, width, height, pos
 

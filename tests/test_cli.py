@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from vidact import cli, motionseg
 from vidact.cli import main, shot_boundaries
 from vidact.config import ConfigError, PipelineConfig, load_config
+from vidact.network import load_checkpoint, predict
 from vidact.sequences import person_crop
+from vidact.summarize import Subject, Summary, build_shot_timeline, export
 from vidact.synth import SceneSpec, SpriteSpec, generate_scene, \
     generate_shot_video
-from vidact.videoio import (Clip, ClipArchive, pack_clip_archive,
-                            read_clip_archive, segment_into_clips, write_pnm)
+from vidact.videoio import (Clip, ClipArchive, load_frame_dir,
+                            pack_clip_archive, read_clip_archive,
+                            segment_into_clips, write_pnm)
 
 TINY = ["--set", "input_size=32", "--set", "enc_channels=2,2",
         "--set", "head_channels=2,2,2", "--set", "fc_width=8",
@@ -385,6 +388,129 @@ class TestClassify:
         doc = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert doc["subjects"] == []
 
+    @pytest.mark.parametrize("header", [b"P5\n-4 -4\n255\n",
+                                        b"P5\n0 4\n255\n",
+                                        b"P6\n4 0\n255\n"])
+    def test_frame_without_pixels_is_format_error(self, mhi_checkpoint,
+                                                  tmp_path, capsys, header):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        bad = frames_dir / ("000.pgm" if header.startswith(b"P5")
+                            else "000.ppm")
+        bad.write_bytes(header)
+        out = tmp_path / "out"
+        rc = main(TINY + ["--checkpoint", str(mhi_checkpoint),
+                          "--out-dir", str(out), "classify", str(frames_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and bad.name in err
+        assert not out.exists()
+
+
+def classify_whole_video(ckpt, frames_dir, cfg, path):
+    """classify as it was before streaming: the whole video stacked, cut by
+    segment_into_clips, classified in one predict call, energies from
+    np.diff over the stack. Writes summary.json to path."""
+    network, _, _, _ = load_checkpoint(ckpt)
+    variant = "mhi" if network.spec.mode == "2d" else cfg.input_variant
+    labels = [f"class{i}" for i in range(network.spec.num_classes)]
+    video = load_frame_dir(frames_dir, fps=cfg.fps).clip()
+    summary = Summary(video_id=str(frames_dir), fps=video.fps, labels=labels)
+    windows = segment_into_clips(video, cfg.clip_seconds, cfg.stride_seconds)
+    if windows:
+        xs = np.stack([cli.clip_to_input(w, cfg, variant) for w in windows])
+        preds, confs = predict(network, xs, cfg.batch)
+        spans = [(w.start_frame, w.start_frame + w.num_frames)
+                 for w in windows]
+        energy = np.mean(np.abs(np.diff(video.frames, axis=0)),
+                         axis=(1, 2, 3))
+        bounds = shot_boundaries(energy, cfg.shot_energy_threshold)
+        events = build_shot_timeline(video.num_frames, bounds, preds, spans,
+                                     confs, labels)
+        summary.subjects.append(Subject(id=0, kind="shot", events=events))
+    export(summary, "json", path)
+
+
+class TestClassifyStreaming:
+    @staticmethod
+    def config(args):
+        """The config main() builds from TINY-style --set args."""
+        return load_config(None, dict(a.split("=", 1) for a in args[1::2]))
+
+    @pytest.mark.parametrize("variant", ["mhi", "rgb", "bs"])
+    @pytest.mark.parametrize("stride_seconds,num_frames", [
+        ("0.12", 64), ("0.32", 64), ("0.48", 64), ("0.32", 5)])
+    def test_summary_matches_whole_video(self, request, tmp_path, variant,
+                                         stride_seconds, num_frames):
+        ckpt = request.getfixturevalue(
+            "mhi_checkpoint" if variant == "mhi" else "rgb_checkpoint")
+        shots = [SpriteSpec(pattern=p, size=8, start=(16.0, 16.0))
+                 for p in ("spin", "bounce", "oscillate_arms", "translate")]
+        video, _, _ = generate_shot_video(shots, 16, canvas=32)
+        frames_dir = tmp_path / "frames"
+        write_frames(Clip(video.frames[:num_frames]), frames_dir)
+        sets = TINY + ["--set", f"input_variant={variant}",
+                       "--set", "input_frames=8",
+                       "--set", "clip_seconds=0.32",
+                       "--set", f"stride_seconds={stride_seconds}"]
+        out = tmp_path / "out"
+        rc = main(sets + ["--checkpoint", str(ckpt), "--out-dir", str(out),
+                          "classify", str(frames_dir)])
+        assert rc == 0
+        want = tmp_path / "want.json"
+        classify_whole_video(ckpt, frames_dir, self.config(sets), want)
+        assert (out / "summary.json").read_bytes() == want.read_bytes()
+        doc = json.loads(want.read_text())
+        assert bool(doc["subjects"]) == (num_frames > 8)
+
+    @pytest.mark.parametrize("suffix", [".pgm", ".ppm"])
+    def test_energies_match_whole_video_diff(self, mhi_checkpoint, tmp_path,
+                                             monkeypatch, rng, suffix):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        channels = 1 if suffix == ".pgm" else 3
+        for t in range(30):
+            write_pnm(frames_dir / f"{t:03d}{suffix}",
+                      rng.integers(0, 256, (channels, 37, 53), dtype=np.uint8))
+        seen = []
+
+        def spy(energy, threshold):
+            seen.append(np.asarray(energy))
+            return shot_boundaries(energy, threshold)
+
+        monkeypatch.setattr(cli, "shot_boundaries", spy)
+        rc = main(TINY + ["--checkpoint", str(mhi_checkpoint),
+                          "--out-dir", str(tmp_path / "out"),
+                          "--set", "clip_seconds=0.32",
+                          "classify", str(frames_dir)])
+        assert rc == 0
+        video = load_frame_dir(frames_dir).clip().frames
+        want = np.mean(np.abs(np.diff(video, axis=0)), axis=(1, 2, 3))
+        assert seen[0].dtype == want.dtype == np.float32
+        assert seen[0].tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_video_length(self, mhi_checkpoint,
+                                                    tmp_path):
+        peaks = []
+        for frames in (60, 240):
+            frames_dir = three_sprite_frames(tmp_path / str(frames),
+                                             duration=frames / 25.0)
+            # batch=4: both runs fill whole predict batches.
+            args = TINY + ["--checkpoint", str(mhi_checkpoint),
+                           "--out-dir", str(tmp_path / str(frames) / "out"),
+                           "--set", "batch=4",
+                           "--set", "clip_seconds=0.32",
+                           "--set", "stride_seconds=0.32",
+                           "classify", str(frames_dir)]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 240 frames of 3x96x128 float32 alone would be 35 MiB.
+        assert peaks[1] < 1.25 * peaks[0], peaks
+
 
 def three_sprite_frames(tmp_path, duration=2.0):
     """The frames of a 128x96 scene: two walkers and one waving actor."""
@@ -683,6 +809,32 @@ class TestRecognizeStreaming:
         assert f"error: {key}={value}" in err and "one frame" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["recognize", "classify"])
+    @pytest.mark.parametrize("suffix", [".pgm", ".ppm"])
+    def test_one_frame_mhi_window_is_config_error(self, mhi_checkpoint,
+                                                  tmp_path, capsys, command,
+                                                  suffix):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        channels = 1 if suffix == ".pgm" else 3
+        for t in range(3):
+            write_pnm(frames_dir / f"{t:03d}{suffix}",
+                      np.zeros((channels, 16, 16), dtype=np.uint8))
+        # A raster cut short: the check must come before any frame is read.
+        first = frames_dir / f"000{suffix}"
+        first.write_bytes(first.read_bytes()[:-1])
+        out = tmp_path / "out"
+        rc = main(TINY + ["--checkpoint", str(mhi_checkpoint),
+                          "--out-dir", str(out),
+                          "--set", "clip_seconds=0.04",
+                          "--set", "stride_seconds=0.04",
+                          command, str(frames_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: clip_seconds=0.04 is 1 frame" in err
+        assert "two frames" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,outputs", [
         ("recognize", ("tracks.jsonl", "summary.json", "summary.svg")),
         ("classify", ("summary.json", "summary.svg"))])
@@ -723,21 +875,38 @@ class TestSummarize:
         assert main(["summarize", str(tmp_path / "nope.json")]) == 2
 
 
+def pair_energies(frames):
+    return np.mean(np.abs(np.diff(frames, axis=0)), axis=(1, 2, 3))
+
+
 class TestShotBoundaries:
     def test_detects_single_cut(self):
         frames = np.zeros((20, 1, 8, 8), dtype=np.float32)
         frames[10:] = 0.8
-        bounds = shot_boundaries(Clip(frames), 0.15)
+        bounds = shot_boundaries(pair_energies(frames), 0.15)
         assert bounds == [10]
 
     def test_adjacent_spikes_collapse(self):
         frames = np.zeros((20, 1, 8, 8), dtype=np.float32)
         frames[10] = 0.5
         frames[11:] = 1.0
-        bounds = shot_boundaries(Clip(frames), 0.15)
+        bounds = shot_boundaries(pair_energies(frames), 0.15)
         assert bounds == [10]
+
+    def test_ramp_of_four_spikes_gives_its_first_frame(self):
+        frames = np.zeros((20, 1, 8, 8), dtype=np.float32)
+        for i, level in enumerate((0.25, 0.5, 0.75)):
+            frames[10 + i] = level
+        frames[13:] = 1.0
+        energy = pair_energies(frames)
+        assert list(np.nonzero(energy > 0.15)[0] + 1) == [10, 11, 12, 13]
+        assert shot_boundaries(energy, 0.15) == [10]
+
+    def test_runs_apart_give_one_cut_each(self):
+        energy = [0.0, 0.5, 0.5, 0.5, 0.0, 0.5, 0.0, 0.5, 0.5]
+        assert shot_boundaries(energy, 0.15) == [2, 6, 8]
 
     def test_no_cut_in_smooth_video(self, rng):
         base = rng.random((1, 8, 8)).astype(np.float32)
         frames = np.stack([base + 0.001 * t for t in range(10)])
-        assert shot_boundaries(Clip(frames), 0.15) == []
+        assert shot_boundaries(pair_energies(frames), 0.15) == []

@@ -384,15 +384,3 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
-
-    def test_spec_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_checkpoint(Network(tiny_2d_spec(), seed=0), path)
-        with pytest.raises(CheckpointError, match="incompatible"):
-            load_checkpoint(path, expect_spec=tiny_3d_spec())
-
-    def test_expected_spec_accepted(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_checkpoint(Network(tiny_2d_spec(), seed=0), path)
-        loaded, _, _, _ = load_checkpoint(path, expect_spec=tiny_2d_spec())
-        assert loaded.spec == tiny_2d_spec()

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vidact.videoio import (Clip, ClipArchive, CorruptionError, FormatError,
                             StratificationError, load_frame_dir,
@@ -31,6 +35,67 @@ class TestPnm:
         img = read_pnm(p)
         assert img.shape == (1, 2, 2)
         assert img[0, 1, 1] == 255
+
+    @pytest.mark.parametrize("header", [b"P5\n-4 -4\n255\n",
+                                        b"P5\n0 4\n255\n",
+                                        b"P6\n4 0\n255\n",
+                                        b"P6\n-1 3\n255\n" + bytes(9)])
+    def test_extents_under_one_rejected(self, tmp_path, header):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header)
+        with pytest.raises(FormatError, match="bad.pgm.*not positive"):
+            read_pnm(bad)
+        with pytest.raises(FormatError, match="bad.pgm.*not positive"):
+            load_frame_dir(tmp_path)
+
+
+def pnm_like_bytes():
+    """Arbitrary bytes, and bytes shaped like a PNM file with odd fields."""
+    field = st.one_of(
+        st.integers(-3, 6).map(lambda v: b"%d" % v),
+        st.sampled_from([b"255", b"65535", b"+2", b"1_0", b"0x4", b"1e2",
+                         b"\xff", b"9" * 30, b"9" * 5000]))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# c\n", b"#",
+                           b""])
+    shaped = st.tuples(
+        st.sampled_from([b"P5", b"P6", b"P3", b"P7", b""]), sep, field, sep,
+        field, sep, st.one_of(st.just(b"255"), field),
+        st.sampled_from([b"\n", b" ", b""]), st.binary(max_size=120))
+    return st.one_of(st.binary(max_size=64), shaped.map(b"".join))
+
+
+class TestPnmFuzz:
+    """Any bytes either parse or raise FormatError, read alone or as the
+    only frame of a directory."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=pnm_like_bytes(), suffix=st.sampled_from([".pgm", ".ppm"]))
+    @example(data=b"P5\n-4 -4\n255\n", suffix=".pgm")
+    @example(data=b"P5 2 2 255 " + bytes(4), suffix=".pgm")
+    @example(data=b"P6\n1 1\n255\n" + bytes(3), suffix=".ppm")
+    def test_parse_or_format_error(self, data, suffix):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / f"f{suffix}"
+            path.write_bytes(data)
+            try:
+                img = read_pnm(path)
+            except FormatError:
+                img = None
+            if img is not None:
+                assert img.dtype == np.uint8 and img.ndim == 3
+                assert img.shape[0] in (1, 3) and min(img.shape) >= 1
+            try:
+                frames = load_frame_dir(d)
+                decoded = list(frames)
+            except FormatError:
+                decoded = None
+            if img is None:
+                assert decoded is None
+            else:
+                assert len(decoded) == 1
+                assert decoded[0].shape == img.shape == frames.shape
+                assert (decoded[0] * 255).round().astype(np.uint8).tobytes() \
+                    == img.tobytes()
 
 
 class TestLoadFrameDir:
