@@ -1,7 +1,8 @@
 """Flat key=value pipeline configuration with defaults and strict keys.
 
 Precedence: CLI flag overrides > config file > defaults. Unknown keys are
-rejected so typos fail loudly.
+rejected so typos fail loudly, and so are values outside the range _RANGES
+states for their key.
 """
 
 from __future__ import annotations
@@ -66,6 +67,24 @@ class PipelineConfig:
 
 _FIELDS = {f.name: f.type for f in fields(PipelineConfig)}
 
+# Key -> (test of the coerced value, the range it states): the library's own
+# ranges, checked before any work starts so that the error names the key.
+_RANGES = {
+    "bg_alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "bg_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "morph_radius": (lambda v: v >= 1, ">= 1"),
+    "kcf_lambda": (lambda v: v > 0, "> 0"),
+    "kcf_interp": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "kcf_patch": (lambda v: v >= 1, ">= 1"),
+    "max_miss": (lambda v: v >= 0, ">= 0"),
+    "input_size": (lambda v: v >= 1, ">= 1"),
+    "input_frames": (lambda v: v >= 1, ">= 1"),
+    "input_variant": (lambda v: v in ("rgb", "bs", "mhi"), "rgb, bs or mhi"),
+    "batch": (lambda v: v >= 1, ">= 1"),
+    "mhi_tau": (lambda v: v >= 1, ">= 1"),
+    "smooth_window": (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"),
+}
+
 
 def _coerce(key: str, value: str):
     default = getattr(PipelineConfig(), key)
@@ -94,11 +113,12 @@ def load_config(path: str | Path | None = None,
     for key, value, where in pairs:
         if key not in _FIELDS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        if key == "input_variant" and value not in ("rgb", "bs", "mhi"):
-            raise ConfigError(f"{where}: input_variant must be rgb, bs or "
-                              f"mhi, got {value!r}")
         try:
-            setattr(cfg, key, _coerce(key, str(value)))
+            coerced = _coerce(key, str(value))
         except ValueError as e:
             raise ConfigError(f"{where}: bad value for {key}: {value!r}") from e
+        ok, stated = _RANGES.get(key, (lambda v: True, ""))
+        if not ok(coerced):
+            raise ConfigError(f"{where}: {key} must be {stated}, got {value!r}")
+        setattr(cfg, key, coerced)
     return cfg

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -116,10 +117,10 @@ class ConvBlock:
 
     def backward(self, up):
         d_pre, da = T.prelu_backward(self._pre, self.act, up)
-        self.act.a.accumulate(da.astype(self.act.a.data.dtype))
+        self.act.a.accumulate(da)
         dx, dw, db = T.conv_backward(self._x, self.conv, d_pre)
-        self.conv.kernel.accumulate(dw.astype(self.conv.kernel.data.dtype))
-        self.conv.bias.accumulate(db.astype(self.conv.bias.data.dtype))
+        self.conv.kernel.accumulate(dw)
+        self.conv.bias.accumulate(db)
         return dx
 
 
@@ -183,10 +184,10 @@ class Dense:
     def backward(self, up):
         if self.act is not None:
             up, da = T.prelu_backward(self._pre, self.act, up)
-            self.act.a.accumulate(da.astype(self.act.a.data.dtype))
+            self.act.a.accumulate(da)
         dx, dw, db = T.linear_backward(self._x, self.w, up)
-        self.w.accumulate(dw.astype(self.w.data.dtype))
-        self.b.accumulate(db.astype(self.b.data.dtype))
+        self.w.accumulate(dw)
+        self.b.accumulate(db)
         return dx
 
 
@@ -257,6 +258,8 @@ class Network:
     # -- forward / backward -------------------------------------------------
 
     def _promote(self, x):
+        """The batch as 5-d (N, C, D, H, W), the only rank the tensor ops
+        take: the one place a 2D batch (N, C, H, W) gains its D == 1 axis."""
         x = np.asarray(x)
         want = self.spec.full_input_shape
         if self.spec.mode == "2d" and x.ndim == 4:
@@ -268,8 +271,7 @@ class Network:
         return x
 
     def forward(self, x) -> np.ndarray:
-        x = self._promote(x)
-        h = x
+        h = self._promote(x)
         for blk in self.enc1:
             h = blk.forward(h)
         s1 = h
@@ -416,7 +418,7 @@ def train(network: Network, x_train, y_train, config: TrainConfig,
                 f"{k}={v:.4f}" for k, v in record.items() if k != "epoch"))
         gate = record.get("val_acc", record["train_acc"])
         streak = streak + 1 if gate >= config.early_stop_acc else 0
-        if streak >= config.early_stop_patience and config.early_stop_acc <= 1.0:
+        if 0 < config.early_stop_patience <= streak:
             break
     return history
 
@@ -502,11 +504,16 @@ def load_checkpoint(path: str | Path):
             pos += 5
             shape = struct.unpack_from(f"<{ndim}I", data, pos)
             pos += 4 * ndim
+            if math.prod(shape) != size:
+                raise CheckpointError(
+                    f"{path}: record of {size} values has shape {shape}")
             nbytes = 4 * size
             if pos + nbytes > len(data):
                 raise CheckpointError(f"{path}: truncated parameter payload")
             arr = np.frombuffer(data[pos : pos + nbytes], dtype="<f4")
             pos += nbytes
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: record holds non-finite values")
             return arr.reshape(shape).copy()
 
         named = dict(network.named_params())
@@ -530,6 +537,9 @@ def load_checkpoint(path: str | Path):
             state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
             state.m = [read_array() for _ in range(n_params)]
             state.v = [read_array() for _ in range(n_params)]
+            if [a.shape for a in state.m + state.v] != [
+                    p.data.shape for p in network.params()] * 2:
+                raise CheckpointError(f"{path}: Adam moments' shapes differ")
     except (struct.error, IndexError, json.JSONDecodeError,
             UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint") from e

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .videoio import Clip
+from .videoio import Clip, resize_bilinear
 
 ACTIONS = ["translate", "oscillate_arms", "bounce", "expand", "spin", "still"]
 
@@ -66,19 +66,7 @@ def background_texture(seed: int, height: int, width: int) -> np.ndarray:
     """Smooth dim texture: low-resolution noise, bilinearly enlarged."""
     rng = np.random.default_rng(seed)
     coarse = rng.random((3, 8, 8)) * 0.2 + 0.05
-    ys = np.linspace(0, 7, height)
-    xs = np.linspace(0, 7, width)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, 7)
-    x1 = np.minimum(x0 + 1, 7)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    top = coarse[:, y0[:, None], x0[None, :]] * (1 - fx) \
-        + coarse[:, y0[:, None], x1[None, :]] * fx
-    bot = coarse[:, y1[:, None], x0[None, :]] * (1 - fx) \
-        + coarse[:, y1[:, None], x1[None, :]] * fx
-    return top * (1 - fy) + bot * fy
+    return resize_bilinear(coarse, height, width)
 
 
 def _pose(spec: SpriteSpec, t: int):

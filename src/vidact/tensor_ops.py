@@ -6,8 +6,9 @@ PReLU, affine layers, softmax cross-entropy, and Adam. Everything operates on
 plain numpy arrays; gradients are computed by explicit backward functions
 rather than a tape.
 
-Layout convention: batch x channels x D x H x W everywhere. 2D data travels
-with D == 1 (kernel depth 1), so a single code path serves both ranks.
+Layout: conv and pool ops take 5-d (N, C, D, H, W) batches only, and raise
+DimensionError on any other rank. 2D data travels with D == 1 (kernel depth
+1), an axis Network._promote adds, so one code path serves both ranks.
 """
 
 from __future__ import annotations
@@ -121,13 +122,13 @@ class AdamState:
         return self
 
 
-def _as5d(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote a 4-d (N,C,H,W) array to 5-d with D == 1."""
-    if x.ndim == 5:
-        return x, False
-    if x.ndim == 4:
-        return x[:, :, None, :, :], True
-    raise DimensionError(f"expected rank 4 or 5 input, got rank {x.ndim}")
+def _rank5(x, what: str) -> np.ndarray:
+    """x as an array; DimensionError unless it is 5-d (N, C, D, H, W)."""
+    x = np.asarray(x)
+    if x.ndim != 5:
+        raise DimensionError(f"{what} must be rank 5 (N, C, D, H, W), "
+                             f"got rank {x.ndim}")
+    return x
 
 
 def _out_extent(n: int, k: int, s: int, p: int) -> int:
@@ -252,20 +253,19 @@ def conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Cross-correlation of x with the kernel (no flip), plus bias.
 
     Output extent per axis: floor((in + 2*pad - k) / stride) + 1.
-    Accepts rank-4 (2D) or rank-5 (3D) batches; returns the matching rank.
-    Columns are built and multiplied one cache-sized tile at a time
-    (see _tiles).
+    x is a 5-d (N, C, D, H, W) batch (D == 1 for 2D data); any other rank
+    raises DimensionError. Columns are built and multiplied one cache-sized
+    tile at a time (see _tiles).
     """
-    x5, squeezed = _as5d(np.asarray(x))
-    if not np.all(np.isfinite(x5)):
+    x = _rank5(x, "conv_forward input")
+    if not np.all(np.isfinite(x)):
         raise NumericError("conv_forward input contains non-finite values")
-    kshape, oshape = _conv_geometry(x5, params)
+    kshape, oshape = _conv_geometry(x, params)
     kern = params.kernel.data
     pd, ph, pw = params.padding
-    xp = np.pad(x5, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    out = _correlate(xp, kern.reshape(kern.shape[0], -1), kshape,
-                     params.stride, oshape, params.bias.data)
-    return out[:, :, 0] if squeezed else out
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    return _correlate(xp, kern.reshape(kern.shape[0], -1), kshape,
+                      params.stride, oshape, params.bias.data)
 
 
 def conv_backward(
@@ -281,111 +281,77 @@ def conv_backward(
     im2col/GEMM. No column gradient is scattered back. Above stride 1 the
     spread grid is mostly zeros: dX then costs as much as at stride 1,
     sd*sh*sw times its nonzero products. The network's convolutions all run
-    at stride 1.
+    at stride 1. x and upstream are 5-d, as in conv_forward.
     """
-    x5, squeezed = _as5d(np.asarray(x))
-    up = np.asarray(upstream)
-    if squeezed:
-        up = up[:, :, None, :, :]
-    kshape, oshape = _conv_geometry(x5, params)
+    x = _rank5(x, "conv_backward input")
+    kshape, oshape = _conv_geometry(x, params)
     kern = params.kernel.data
     co, ci = kern.shape[:2]
-    if up.shape != (x5.shape[0], co) + oshape:
+    up = np.asarray(upstream)
+    if up.shape != (x.shape[0], co) + oshape:
         raise DimensionError(
-            f"upstream shape {up.shape} != output shape {(x5.shape[0], co) + oshape}"
+            f"upstream shape {up.shape} != output shape {(x.shape[0], co) + oshape}"
         )
     up = np.ascontiguousarray(up)
     pd, ph, pw = params.padding
-    xp = np.pad(x5, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
     dw = np.zeros_like(kern.reshape(co, -1))
-    for tile in _tiles(x5.shape[0], oshape, dw.shape[1]):
+    for tile in _tiles(x.shape[0], oshape, dw.shape[1]):
         cols = _im2col(xp, kshape, params.stride, tile, oshape[2])
         upc = up[tile[0], :, tile[1], tile[2]].swapaxes(0, 1).reshape(co, -1)
         dw += upc @ cols.T
     spread = _spread_upstream(up, kshape, params.stride, params.padding,
-                              x5.shape[2:])
+                              x.shape[2:])
     flipped = kern[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1).reshape(ci, -1)
-    dx = _correlate(spread, flipped, kshape, (1, 1, 1), x5.shape[2:])
-    dx = dx.astype(x5.dtype, copy=False)
+    dx = _correlate(spread, flipped, kshape, (1, 1, 1), x.shape[2:])
     db = up.sum(axis=(0, 2, 3, 4))
-    if squeezed:
-        dx = dx[:, :, 0]
-    return dx, dw.reshape(kern.shape), db
+    return dx.astype(x.dtype, copy=False), dw.reshape(kern.shape), db
 
 
 def maxpool_forward(
-    x: np.ndarray, window: tuple[int, ...], stride: tuple[int, ...] | None = None
+    x: np.ndarray, window: tuple[int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Windowed max over the spatial axes.
-
-    Returns (output, argmax) where argmax holds the flat index (within one
-    N,C slice) of the winning input cell, first occurrence on ties.
+    """Max over non-overlapping (kD, kH, kW) windows of a 5-d batch; other
+    ranks raise DimensionError. Cells past an axis's last whole window are
+    not read. Returns (output, argmax) where argmax holds the flat index
+    (within one N,C slice) of the winning input cell, first on ties.
     """
-    x5, squeezed = _as5d(np.asarray(x))
-    if squeezed:
-        window = (1,) + tuple(window)
-        stride = None if stride is None else (1,) + tuple(stride)
-    if stride is None:
-        stride = window
+    x = _rank5(x, "maxpool_forward input")
     kd, kh, kw = window
-    n, c, d, h, w = x5.shape
+    n, c, d, h, w = x.shape
     if kd > d or kh > h or kw > w:
         raise DimensionError(f"pool window {window} exceeds input extents {(d, h, w)}")
-    od = _out_extent(d, kd, stride[0], 0)
-    oh = _out_extent(h, kh, stride[1], 0)
-    ow = _out_extent(w, kw, stride[2], 0)
-    # One slab per window offset; offsets enumerate in ascending flat order,
-    # so argmax over axis 0 picks the first (lowest flat index) tie.
-    slabs = np.empty((kd * kh * kw, n, c, od, oh, ow), dtype=x5.dtype)
-    flat = np.empty((kd * kh * kw, od, oh, ow), dtype=np.int64)
-    base = (
-        np.arange(od)[:, None, None] * stride[0] * h * w
-        + np.arange(oh)[None, :, None] * stride[1] * w
-        + np.arange(ow)[None, None, :] * stride[2]
-    )
-    i = 0
-    for a in range(kd):
-        for b in range(kh):
-            for g in range(kw):
-                slabs[i] = x5[
-                    :, :,
-                    a : a + stride[0] * od : stride[0],
-                    b : b + stride[1] * oh : stride[1],
-                    g : g + stride[2] * ow : stride[2],
-                ]
-                flat[i] = base + a * h * w + b * w + g
-                i += 1
+    od, oh, ow = d // kd, h // kh, w // kw
+    # One slab per window position; positions enumerate in ascending flat
+    # order, so argmax over axis 0 picks the first (lowest flat index) tie.
+    slabs = np.empty((kd * kh * kw, n, c, od, oh, ow), dtype=x.dtype)
+    offset = np.empty(kd * kh * kw, dtype=np.int64)
+    for i, (a, b, g) in enumerate(itertools.product(range(kd), range(kh),
+                                                    range(kw))):
+        slabs[i] = x[:, :, a : kd * od : kd, b : kh * oh : kh, g : kw * ow : kw]
+        offset[i] = a * h * w + b * w + g
     win = np.argmax(slabs, axis=0)
     out = np.take_along_axis(slabs, win[None], axis=0)[0]
-    # flat has shape (K, od, oh, ow); index it by the winning offset per cell.
-    grid = np.indices((od, oh, ow))
-    argmax = flat[win, grid[0], grid[1], grid[2]]
-    if squeezed:
-        return out[:, :, 0], argmax[:, :, 0]
-    return out, argmax
+    # The flat index of each window's first cell, plus the winner's offset.
+    base = (np.arange(od)[:, None, None] * (kd * h * w)
+            + np.arange(oh)[:, None] * (kh * w) + np.arange(ow) * kw)
+    return out, base + offset[win]
 
 
 def maxpool_backward(
     x_shape: tuple[int, ...], argmax: np.ndarray, upstream: np.ndarray
 ) -> np.ndarray:
-    """Scatter upstream gradients onto the winning input cells."""
-    if len(x_shape) == 4:
-        n, c, h, w = x_shape
-        x_shape5 = (n, c, 1, h, w)
-        argmax = argmax[:, :, None]
-        upstream = upstream[:, :, None]
-        squeezed = True
-    else:
-        x_shape5 = x_shape
-        squeezed = False
-    n, c = x_shape5[:2]
-    vol = int(np.prod(x_shape5[2:]))
-    dx = np.zeros((n * c, vol), dtype=upstream.dtype)
-    idx = argmax.reshape(n * c, -1)
-    up = upstream.reshape(n * c, -1)
-    np.add.at(dx, (np.arange(n * c)[:, None], idx), up)
-    dx = dx.reshape(x_shape5)
-    return dx[:, :, 0] if squeezed else dx
+    """Scatter upstream gradients onto the winning input cells: x_shape, and
+    argmax and upstream (of one shape), are 5-d, else DimensionError."""
+    upstream = _rank5(upstream, "maxpool_backward upstream")
+    if len(x_shape) != 5 or np.shape(argmax) != upstream.shape:
+        raise DimensionError(f"input shape {x_shape} is not 5-d or argmax "
+                             f"shape {np.shape(argmax)} != {upstream.shape}")
+    n, c = x_shape[:2]
+    dx = np.zeros((n * c, int(np.prod(x_shape[2:]))), dtype=upstream.dtype)
+    np.add.at(dx, (np.arange(n * c)[:, None], argmax.reshape(n * c, -1)),
+              upstream.reshape(n * c, -1))
+    return dx.reshape(x_shape)
 
 
 def _channel_view(a: np.ndarray, ndim: int) -> np.ndarray:

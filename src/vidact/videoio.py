@@ -9,6 +9,7 @@ bit-exact with zero codec dependencies. To export frames from a video file:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,10 +72,12 @@ def _read_pnm_header(data: bytes, path: str):
     magic = token()
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"{path}: unsupported PNM magic {magic!r}")
+    fields = [token() for _ in range(3)]
     try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
+        # ASCII decimal digits only: int() alone also takes "+4" and "1_0".
+        if not all(f.isdigit() for f in fields):
+            raise ValueError("not ASCII decimal digits")
+        width, height, maxval = map(int, fields)
     except ValueError as e:
         raise FormatError(f"{path}: bad PNM header field") from e
     if maxval != 255:
@@ -390,8 +393,17 @@ def read_clip_archive(path: str | Path) -> ClipArchive:
             raise CorruptionError(f"{path}: truncated payload of record {i}")
         if label >= n_labels:
             raise CorruptionError(f"{path}: record {i} label {label} out of range")
+        if 0 in (t, c, h, w):
+            raise CorruptionError(f"{path}: record {i} shape {(t, c, h, w)} "
+                                  f"is empty")
+        if not (math.isfinite(fps) and fps > 0):
+            raise CorruptionError(f"{path}: record {i} fps {fps} is not "
+                                  f"finite and positive")
         frames = np.frombuffer(data[pos : pos + nbytes], dtype="<f4")
         pos += nbytes
+        if not np.all(np.isfinite(frames)):
+            raise CorruptionError(f"{path}: record {i} holds non-finite "
+                                  f"pixels")
         archive.clips.append(Clip(frames.reshape(t, c, h, w).copy(), fps=fps))
         archive.labels.append(label)
     return archive

@@ -126,3 +126,12 @@ def flood_fill_components(mask, min_area=64, frame_index=0):
         detections.append(Detection(box=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
                                     area=area, frame_index=frame_index))
     return detections
+
+
+def flip_bits(data: bytes, bits) -> bytes:
+    """data with each listed bit index (8 per byte, LSB first) inverted; a
+    bit listed twice is restored."""
+    out = bytearray(data)
+    for i in bits:
+        out[i // 8] ^= 1 << (i % 8)
+    return bytes(out)

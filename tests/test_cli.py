@@ -94,6 +94,36 @@ class TestArgErrors:
     def test_uncoercible_seed(self, capsys):
         assert main(["--seed", "7", "--set", "epochs=soon", "gen-data"]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("bg_alpha", "2"), ("bg_alpha", "0"), ("bg_threshold", "0"),
+        ("morph_radius", "0"), ("kcf_lambda", "0"), ("kcf_interp", "2"),
+        ("kcf_patch", "0"), ("smooth_window", "2"), ("mhi_tau", "0"),
+        ("input_size", "0"), ("input_frames", "0"), ("batch", "0"),
+        ("max_miss", "-1"), ("bg_alpha", "nan")])
+    def test_value_out_of_range(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        rc = main(TINY + ["--out-dir", str(out), "--set", f"{key}={value}",
+                          "gen-data", "--clips-per-class", "1",
+                          "--frames", "8"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "command line" in err and "must be" in err
+        assert not out.exists()
+
+    def test_value_out_of_range_names_file_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("batch=8\nsmooth_window=4\n")
+        with pytest.raises(ConfigError, match="run.cfg:2: smooth_window "
+                                              "must be odd and >= 1"):
+            load_config(path)
+
+    def test_edges_of_ranges_accepted(self):
+        cfg = load_config(None, {"bg_threshold": "1", "kcf_interp": "1",
+                                 "max_miss": "0", "smooth_window": "1",
+                                 "morph_radius": "1", "kcf_patch": "1"})
+        assert (cfg.bg_threshold, cfg.kcf_interp, cfg.max_miss,
+                cfg.smooth_window) == (1.0, 1.0, 0, 1)
+
 
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory):
@@ -261,6 +291,41 @@ class TestTrainEval:
                           "eval", str(dataset_dir / "mhi.a3dc")])
         assert rc == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["size_minus_one", "size_plus_one",
+                                        "nan_weight"])
+    def test_eval_bad_parameter_record(self, dataset_dir, mhi_checkpoint,
+                                       tmp_path, capsys, change):
+        data = bytearray(mhi_checkpoint.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", data, 14)
+        pos = 18 + meta_len + 4                  # the first parameter record
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2 + name_len
+        ndim, size = struct.unpack_from("<BI", data, pos)
+        if change == "nan_weight":
+            struct.pack_into("<f", data, pos + 5 + 4 * ndim, np.nan)
+        else:
+            struct.pack_into("<I", data, pos + 1,
+                             size + (1 if change == "size_plus_one" else -1))
+        bad = tmp_path / "record.a3dw"
+        bad.write_bytes(bytes(data))
+        rc = main(TINY + ["--out-dir", str(tmp_path), "--checkpoint", str(bad),
+                          "eval", str(dataset_dir / "mhi.a3dc")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_train_non_finite_pixel_is_user_error(self, dataset_dir, tmp_path,
+                                                  capsys, value):
+        archive = read_clip_archive(dataset_dir / "mhi.a3dc")
+        archive.clips[5].frames[0, 0, 3, 3] = value
+        bad = tmp_path / "nan.a3dc"
+        pack_clip_archive(archive, bad)
+        out = tmp_path / "out"
+        rc = main(TINY + ["--out-dir", str(out), "train", str(bad)])
+        assert rc == 2
+        assert f"{bad}: record 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_input_variant_trains_nothing(self, dataset_dir, tmp_path,
                                                   capsys):

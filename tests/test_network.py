@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import flip_bits
+from hypothesis import example, given, settings, strategies as st
 
 from vidact import tensor_ops as T
 from vidact.network import (CheckpointError, Network, NetworkSpec, SpecError,
@@ -296,6 +300,15 @@ class TestTraining:
         history = train(net, x, y, cfg, x_val=x, y_val=y)
         assert len(history) < 100
 
+    @pytest.mark.parametrize("patience,epochs_run", [(0, 4), (1, 1), (2, 2)])
+    def test_patience_zero_disables_early_stop(self, patience, epochs_run):
+        # Accuracy always meets a goal of 0, so only patience decides.
+        x, y = separable_dataset(2, 4, seed=21)
+        cfg = TrainConfig(lr=0.001, batch=8, epochs=4, seed=21,
+                          early_stop_acc=0.0, early_stop_patience=patience)
+        history = train(Network(tiny_2d_spec(), seed=21), x, y, cfg)
+        assert len(history) == epochs_run
+
     def test_empty_training_set_rejected(self):
         net = Network(tiny_2d_spec(), seed=0)
         with pytest.raises(ValueError):
@@ -384,3 +397,79 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def checkpoint_bytes() -> bytes:
+    """A tiny 2D network's checkpoint after one Adam step, state included."""
+    x, y = separable_dataset(2, 4, seed=22)
+    net = Network(tiny_2d_spec(), seed=22)
+    params = net.params()
+    state = AdamState(lr=0.002).init_like(params)
+    _, d = T.softmax_cross_entropy(net.forward(x), y)
+    net.backward(d)
+    T.adam_step(params, [p.grad for p in params], state)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.a3dw"
+        save_checkpoint(net, path, state=state, epoch=1,
+                        history=[{"epoch": 0}])
+        return path.read_bytes()
+
+
+CHECKPOINT = checkpoint_bytes()
+# Header, metadata and the first parameter record's header.
+_META_END = 18 + int.from_bytes(CHECKPOINT[14:18], "little")
+HEAD_BITS = 8 * (_META_END + 48)
+# The first record: u32 count, u16 name length, name, u8 ndim, u32 size.
+_FIRST_SIZE = _META_END + 4 + 2 + len(b"enc1a.kernel") + 1
+
+
+def load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.a3dw"
+        path.write_bytes(data)
+        try:
+            return load_checkpoint(path)
+        except CheckpointError as e:
+            assert str(path) in str(e)
+            return None
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoint bytes load into a network with the spec's
+    parameter shapes and finite values, or raise CheckpointError naming
+    the file; truncated or arbitrary bytes never load."""
+
+    def test_intact_bytes_load(self):
+        assert load_bytes(CHECKPOINT) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, len(CHECKPOINT) - 1))
+    @example(cut=len(CHECKPOINT) - 1)
+    def test_truncated(self, cut):
+        assert load_bytes(CHECKPOINT[:cut]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.one_of(st.integers(0, HEAD_BITS - 1),
+                                   st.integers(0, 8 * len(CHECKPOINT) - 1)),
+                         min_size=1, max_size=3))
+    # The first record's size field, 18 made 19 and 16.
+    @example(bits=[8 * _FIRST_SIZE])
+    @example(bits=[8 * _FIRST_SIZE + 1])
+    def test_bit_flipped(self, bits):
+        loaded = load_bytes(flip_bits(CHECKPOINT, bits))
+        if loaded is None:
+            return
+        network, state, _, _ = loaded
+        shapes = [p.data.shape for p in Network(network.spec).params()]
+        assert [p.data.shape for p in network.params()] == shapes
+        assert all(np.all(np.isfinite(p.data)) for p in network.params())
+        if state is not None:
+            assert [a.shape for a in state.m + state.v] == shapes * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=128),
+                          st.binary(max_size=128).map(lambda b: b"A3DW" + b),
+                          st.binary(max_size=128).map(
+                              lambda b: CHECKPOINT[:_META_END] + b)))
+    def test_arbitrary_bytes(self, data):
+        assert load_bytes(data) is None

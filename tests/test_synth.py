@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vidact.sequences import compute_mhi
-from vidact.synth import (ACTIONS, SceneSpec, SpriteSpec, generate_action_clip,
-                          generate_scene, generate_shot_video,
-                          make_action_dataset)
+from vidact.synth import (ACTIONS, SceneSpec, SpriteSpec, background_texture,
+                          generate_action_clip, generate_scene,
+                          generate_shot_video, make_action_dataset)
 
 
 class TestActionClip:
@@ -107,6 +107,29 @@ class TestScene:
         a, _ = generate_scene(scene)
         b, _ = generate_scene(scene)
         assert a.frames.tobytes() == b.frames.tobytes()
+
+
+def written_out_background(seed, height, width):
+    """The corner-aligned bilinear enlargement of an 8x8 noise grid, spelled
+    out: the background every generated scene and clip has been drawn on."""
+    coarse = np.random.default_rng(seed).random((3, 8, 8)) * 0.2 + 0.05
+    ys, xs = np.linspace(0, 7, height), np.linspace(0, 7, width)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, 7), np.minimum(x0 + 1, 7)
+    fy, fx = (ys - y0)[:, None], (xs - x0)[None, :]
+    top = coarse[:, y0[:, None], x0[None, :]] * (1 - fx) \
+        + coarse[:, y0[:, None], x1[None, :]] * fx
+    bot = coarse[:, y1[:, None], x0[None, :]] * (1 - fx) \
+        + coarse[:, y1[:, None], x1[None, :]] * fx
+    return top * (1 - fy) + bot * fy
+
+
+@pytest.mark.parametrize("height,width", [(1, 5), (5, 1), (1, 1), (8, 8),
+                                          (64, 64), (240, 320)])
+def test_background_bytes_unchanged(height, width):
+    got = background_texture(11, height, width)
+    want = written_out_background(11, height, width)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestShotVideo:

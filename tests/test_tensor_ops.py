@@ -82,13 +82,6 @@ class TestConvForward:
         with pytest.raises(T.NumericError):
             conv_forward(x, params)
 
-    def test_2d_input_round_trips_rank(self, rng):
-        x = rng.standard_normal((2, 3, 8, 8))
-        params = make_conv(rng.standard_normal((4, 3, 1, 3, 3)),
-                           padding=(0, 1, 1))
-        out = conv_forward(x, params)
-        assert out.shape == (2, 4, 8, 8)
-
 
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self, rng):
@@ -140,12 +133,26 @@ class TestConvBackward:
         with pytest.raises(T.DimensionError):
             conv_backward(x, params, np.zeros((1, 1, 2, 2, 2)))
 
+    def test_rank4_input_raises(self, rng):
+        # 2D data is 5-d with D == 1; the ops do not add that axis.
+        x = rng.standard_normal((2, 3, 1, 8, 8))
+        params = make_conv(rng.standard_normal((4, 3, 1, 3, 3)),
+                           padding=(0, 1, 1))
+        out = conv_forward(x, params)
+        assert out.shape == (2, 4, 1, 8, 8)
+        with pytest.raises(T.DimensionError, match="rank 5"):
+            conv_forward(x[:, :, 0], params)
+        with pytest.raises(T.DimensionError, match="rank 5"):
+            conv_backward(x[:, :, 0], params, out[:, :, 0])
+        with pytest.raises(T.DimensionError):
+            conv_backward(x, params, out[:, :, 0])
+
 
 # Tile-boundary cases: (x shape, kernel shape, stride, padding). The last one
 # pads W wider than its kernel, so some upstream positions reach only padding.
 TILED_GEOMETRIES = {
     "3d_same": ((3, 2, 3, 5, 4), (3, 2, 3, 3, 3), (1, 1, 1), (1, 1, 1)),
-    "2d_rank4": ((3, 2, 5, 6), (3, 2, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
+    "2d_depth1": ((3, 2, 1, 5, 6), (3, 2, 1, 3, 3), (1, 1, 1), (0, 1, 1)),
     "stride2": ((3, 2, 5, 9, 6), (2, 2, 3, 3, 2), (2, 2, 2), (1, 1, 2)),
 }
 
@@ -159,11 +166,8 @@ def tiled_case(request):
     x = r.standard_normal(xshape)
     kern = r.standard_normal(kshape)
     bias = r.standard_normal(kshape[0])
-    x5 = x if x.ndim == 5 else x[:, :, None]
-    out = brute_force_conv3d(x5, kern, bias, stride, padding)
+    out = brute_force_conv3d(x, kern, bias, stride, padding)
     oshape = out.shape[2:]
-    if x.ndim == 4:
-        out = out[:, :, 0]
     up = r.standard_normal(out.shape)
 
     def loss(xv, kv, bv):
@@ -242,8 +246,8 @@ class TestMaxPool:
         np.testing.assert_array_equal(out, np.full((1, 1, 2, 2, 2), 7.5))
 
     def test_2x2_window(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        out, _ = maxpool_forward(x, (2, 2))
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 1, 2, 2)
+        out, _ = maxpool_forward(x, (1, 2, 2))
         assert out.reshape(()) == 4.0
 
     def test_ties_pick_first_flat_index(self):
@@ -267,13 +271,56 @@ class TestMaxPool:
         dx = maxpool_backward(x.shape, argmax, np.ones_like(out))
         assert max_rel_err(dx, central_difference(loss, x)) < 1e-5
 
-    def test_overlapping_stride(self, rng):
-        x = rng.standard_normal((2, 3, 1, 5, 5))
-        out, argmax = maxpool_forward(x, (1, 3, 3), (1, 1, 1))
-        assert out.shape == (2, 3, 1, 3, 3)
-        flat = x.reshape(2, 3, -1)
-        recovered = np.take_along_axis(flat, argmax.reshape(2, 3, -1), axis=-1)
-        np.testing.assert_array_equal(recovered.reshape(out.shape), out)
+    @pytest.mark.parametrize("shape,window", [
+        ((2, 3, 4, 6, 6), (2, 2, 2)), ((2, 3, 1, 7, 5), (1, 2, 2)),
+        ((1, 2, 5, 9, 4), (2, 3, 1)), ((3, 1, 3, 3, 3), (3, 3, 3))])
+    def test_matches_loop_reference(self, rng, shape, window):
+        # Few distinct values make ties; -0.0 next to 0.0 is a tie too.
+        # Extents that windows do not divide leave a ragged edge unread.
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)
+        x[x == 0] = rng.choice([0.0, -0.0], size=int(np.sum(x == 0)))
+        up = rng.standard_normal(tuple(
+            e // k for e, k in zip(shape[2:], window)))
+        up = np.broadcast_to(up, shape[:2] + up.shape).copy()
+        up[:, :, 0, 0, 0] = -0.0
+        want_out, want_arg, want_dx = loop_maxpool(x, window, up)
+        out, argmax = maxpool_forward(x, window)
+        dx = maxpool_backward(x.shape, argmax, up)
+        assert out.tobytes() == want_out.tobytes()
+        np.testing.assert_array_equal(argmax, want_arg)
+        assert dx.tobytes() == want_dx.tobytes()
+
+    def test_rank4_input_raises(self, rng):
+        x = rng.standard_normal((1, 1, 4, 4, 4))
+        out, argmax = maxpool_forward(x, (2, 2, 2))
+        with pytest.raises(T.DimensionError, match="rank 5"):
+            maxpool_forward(x[:, :, 0], (2, 2, 2))
+        with pytest.raises(T.DimensionError):
+            maxpool_backward(x.shape[:1] + x.shape[2:], argmax[:, 0],
+                             out[:, 0])
+        with pytest.raises(T.DimensionError):
+            maxpool_backward(x.shape, argmax[:, :, 0], out[:, :, 0])
+
+
+def loop_maxpool(x, window, up):
+    """Non-overlapping max pool by loops over cells: output, flat argmax
+    (first occurrence on ties) and upstream summed onto the winners."""
+    n, c, d, h, w = x.shape
+    kd, kh, kw = window
+    oshape = (d // kd, h // kh, w // kw)
+    out = np.empty((n, c) + oshape, dtype=x.dtype)
+    arg = np.empty((n, c) + oshape, dtype=np.int64)
+    dx = np.zeros_like(x)
+    for i, j in np.ndindex(n, c):
+        for o in np.ndindex(*oshape):
+            block = x[i, j, o[0] * kd:(o[0] + 1) * kd,
+                      o[1] * kh:(o[1] + 1) * kh, o[2] * kw:(o[2] + 1) * kw]
+            a, b, g = np.unravel_index(np.argmax(block), window)
+            cell = (o[0] * kd + a, o[1] * kh + b, o[2] * kw + g)
+            out[(i, j) + o] = block[a, b, g]
+            arg[(i, j) + o] = np.ravel_multi_index(cell, (d, h, w))
+            dx[(i, j) + cell] += up[(i, j) + o]
+    return out, arg, dx
 
 
 class TestPReLU:

@@ -1,8 +1,10 @@
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import flip_bits
 from hypothesis import example, given, settings, strategies as st
 
 from vidact.videoio import (Clip, ClipArchive, CorruptionError, FormatError,
@@ -36,10 +38,9 @@ class TestPnm:
         assert img.shape == (1, 2, 2)
         assert img[0, 1, 1] == 255
 
-    @pytest.mark.parametrize("header", [b"P5\n-4 -4\n255\n",
-                                        b"P5\n0 4\n255\n",
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n",
                                         b"P6\n4 0\n255\n",
-                                        b"P6\n-1 3\n255\n" + bytes(9)])
+                                        b"P6\n00 3\n255\n" + bytes(9)])
     def test_extents_under_one_rejected(self, tmp_path, header):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(header)
@@ -47,6 +48,27 @@ class TestPnm:
             read_pnm(bad)
         with pytest.raises(FormatError, match="bad.pgm.*not positive"):
             load_frame_dir(tmp_path)
+
+    # Netpbm header fields are ASCII decimal digits: no sign, no
+    # underscores, no other digit scripts. A sign also covers extents < 0.
+    @pytest.mark.parametrize("header", [
+        b"P5 +4 1_0 255 " + bytes(40), b"P5\n-4 -4\n255\n",
+        b"P6\n-1 3\n255\n" + bytes(9), b"P5 4 4 +255 " + bytes(16),
+        b"P5 0x4 4 255 " + bytes(16), b"P5 4 4 2_55 " + bytes(16),
+        "P5 \u0664 4 255 ".encode() + bytes(16),
+        b"P5 4 4 255.0 " + bytes(16), b"P5 1e1 1 255 " + bytes(10)])
+    def test_header_fields_only_ascii_digits(self, tmp_path, header):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header)
+        with pytest.raises(FormatError, match="bad.pgm.*bad PNM header field"):
+            read_pnm(bad)
+        with pytest.raises(FormatError, match="bad.pgm.*bad PNM header field"):
+            load_frame_dir(tmp_path)
+
+    def test_leading_zeros_are_digits(self, tmp_path):
+        p = tmp_path / "z.pgm"
+        p.write_bytes(b"P5 002 01 0255 \x07\x09")
+        np.testing.assert_array_equal(read_pnm(p), [[[7, 9]]])
 
 
 def pnm_like_bytes():
@@ -373,6 +395,29 @@ class TestArchive:
         with pytest.raises(CorruptionError, match="label name 1 is not UTF-8"):
             read_clip_archive(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_names_record(self, tmp_path, rng, value):
+        archive = self.make(rng)
+        archive.clips[1].frames[2, 0, 3, 4] = value
+        path = tmp_path / "a.a3dc"
+        pack_clip_archive(archive, path)
+        with pytest.raises(CorruptionError, match="a.a3dc: record 1 "
+                                                  "holds non-finite"):
+            read_clip_archive(path)
+
+    @pytest.mark.parametrize("fps", [np.nan, np.inf, 0.0, -25.0])
+    def test_bad_fps_names_record(self, tmp_path, rng, fps):
+        path = tmp_path / "a.a3dc"
+        pack_clip_archive(self.make(rng), path)
+        data = bytearray(path.read_bytes())
+        # The last record's header ends with its f64 fps.
+        at = len(data) - 4 * 4 * 3 * 5 * 6 - 8
+        assert struct.unpack_from("<d", data, at) == (25.0,)
+        struct.pack_into("<d", data, at, fps)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="a.a3dc: record 2 fps"):
+            read_clip_archive(path)
+
     def test_mixed_channel_counts_allowed(self, tmp_path, rng):
         clips = [Clip(rng.random((2, 3, 4, 4)).astype(np.float32)),
                  Clip(rng.random((1, 1, 4, 4)).astype(np.float32))]
@@ -382,3 +427,62 @@ class TestArchive:
         back = read_clip_archive(path)
         assert back.clips[0].frames.shape == (2, 3, 4, 4)
         assert back.clips[1].frames.shape == (1, 1, 4, 4)
+
+
+def small_archive_bytes() -> bytes:
+    rng = np.random.default_rng(3)
+    clips = [Clip(rng.random((2, c, 3, 4)).astype(np.float32), fps=12.5)
+             for c in (1, 3, 1)]
+    archive = ClipArchive(label_names=["walk", "wave"], clips=clips,
+                          labels=[0, 1, 1])
+    with tempfile.TemporaryDirectory() as d:
+        pack_clip_archive(archive, Path(d) / "a.a3dc")
+        return (Path(d) / "a.a3dc").read_bytes()
+
+
+ARCHIVE = small_archive_bytes()
+
+
+def damaged_archives():
+    """Arbitrary bytes, the magic followed by arbitrary bytes, and a valid
+    archive with bits flipped, a float overwritten, or a tail cut off."""
+    flips = st.lists(st.integers(0, 8 * len(ARCHIVE) - 1), min_size=1,
+                     max_size=4).map(lambda bits: flip_bits(ARCHIVE, bits))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 1e30])
+    floats = st.tuples(st.integers(0, len(ARCHIVE) - 4), special).map(
+        lambda a: ARCHIVE[:a[0]] + np.float32(a[1]).tobytes()
+        + ARCHIVE[a[0] + 4:])
+    doubles = st.tuples(st.integers(0, len(ARCHIVE) - 8), special).map(
+        lambda a: ARCHIVE[:a[0]] + struct.pack("<d", a[1])
+        + ARCHIVE[a[0] + 8:])
+    return st.one_of(st.binary(max_size=96),
+                     st.binary(max_size=96).map(lambda b: b"A3DC" + b),
+                     flips, floats, doubles,
+                     st.integers(0, len(ARCHIVE) - 1).map(
+                         lambda n: ARCHIVE[:n]))
+
+
+class TestArchiveFuzz:
+    """Any bytes either parse into finite clips with a finite, positive fps
+    and labels in range, or raise FormatError naming the file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=damaged_archives())
+    @example(data=ARCHIVE[:-1])
+    @example(data=flip_bits(ARCHIVE, [100]))   # a record with a zero extent
+    @example(data=ARCHIVE[:-4] + np.float32(np.nan).tobytes())
+    def test_parse_or_format_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "f.a3dc"
+            path.write_bytes(data)
+            try:
+                archive = read_clip_archive(path)
+            except FormatError as e:
+                assert str(path) in str(e)
+                return
+        assert data == ARCHIVE or not ARCHIVE.startswith(data)  # no prefix
+        assert len(archive.clips) == len(archive.labels)
+        for clip, label in zip(archive.clips, archive.labels):
+            assert np.all(np.isfinite(clip.frames))
+            assert np.isfinite(clip.fps) and clip.fps > 0
+            assert 0 <= label < len(archive.label_names)
